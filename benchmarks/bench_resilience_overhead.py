@@ -1,13 +1,14 @@
 """Supervision overhead: the resilient pool vs the bare shard engine.
 
 Not a paper experiment: it prices the supervision machinery.  The
-pre-supervision engine (``multiprocessing.Pool`` over static shards,
-kept in :mod:`repro.fault.campaign` as ``_mp_context``/``_run_shard``)
-loses a whole shard on any worker crash; the supervised pool survives
-crashes, enforces deadlines and journals checkpoints.  All of that must
-cost at most 10% extra wall-clock on a crash-free campaign — measured
-here on the bundled ExpoCU compiled-netlist scenario — and the two
-engines' reports must stay byte-identical.
+pre-supervision engine — ``multiprocessing.Pool`` over static shards,
+defined below as :func:`_mp_context`/:func:`_run_shard` because nothing
+in the product runs it any more — loses a whole shard on any worker
+crash; the supervised pool behind :func:`repro.fault.run_campaign`
+survives crashes, enforces deadlines and journals checkpoints.  All of
+that must cost at most 10% extra wall-clock on a crash-free campaign —
+measured here on the bundled ExpoCU compiled-netlist scenario — and the
+two engines' reports must stay byte-identical.
 
 Both engines pay the same dominant costs (per-worker golden run, fault
 replays); supervision adds only pipe traffic and bookkeeping, so the
@@ -16,14 +17,15 @@ compared, to keep scheduler noise out of a ratio assertion.
 """
 
 import functools
+import multiprocessing
 import time
 
 from conftest import record_report
 
 from repro.eval import format_table
 from repro.fault.campaign import (
-    _mp_context,
-    _run_shard,
+    _classify,
+    _golden_run,
     generate_fault_list,
     run_campaign,
 )
@@ -41,6 +43,26 @@ ROUNDS = 3
 MAX_OVERHEAD = 0.10
 
 
+def _run_shard(payload: tuple) -> list:
+    """Baseline worker: rebuild the injector, rerun the golden run,
+    classify one static shard (module-level so ``Pool.map`` pickles it).
+    """
+    injector_factory, stimulus, faults, config = payload
+    injector = injector_factory()
+    snap_cycles = {fault.cycle for fault in faults} | {0}
+    golden = _golden_run(injector, stimulus, config, snap_cycles)
+    return [_classify(injector, fault, stimulus, golden, config)
+            for fault in faults]
+
+
+def _mp_context():
+    """Fork where available (cheap, inherits sys.path), else spawn."""
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - non-POSIX platforms
+        return multiprocessing.get_context("spawn")
+
+
 def _baseline_pool(factory, stimulus, faults, config):
     """The PR-3 engine: static shards on a bare multiprocessing.Pool."""
     # Same stimulus normalization run_campaign applies before sharding.
@@ -53,7 +75,7 @@ def _baseline_pool(factory, stimulus, faults, config):
         outputs = pool.map(_run_shard, payloads)
     merged = {}
     for shard, output in zip((s for s in shards if s), outputs):
-        for fault, record in zip(shard, output["records"]):
+        for fault, record in zip(shard, output):
             merged[fault] = record
     return [merged[fault] for fault in faults]
 

@@ -848,6 +848,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _flag_conflict(args: argparse.Namespace) -> str | None:
+    """A flag combination the per-flag ``choices`` cannot rule out."""
+    if (args.func not in (_cmd_inject, _cmd_profile)
+            or getattr(args, "target", "campaign") != "campaign"):
+        return None
+    from repro.fault.scenarios import injector_option_error
+
+    return injector_option_error(args.flow, getattr(args, "hardening",
+                                                    "none"), args.backend)
+
+
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point."""
     from repro.dse import DseError
@@ -859,6 +870,10 @@ def main(argv: list[str] | None = None) -> int:
 
     parser = build_parser()
     args = parser.parse_args(argv)
+    problem = _flag_conflict(args)
+    if problem is not None:
+        print(f"repro: error: {problem}", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except (SynthesisError, NetlistError, StoreError, CampaignError,

@@ -3,9 +3,10 @@
 This package is deliberately campaign-agnostic — it moves tasks through
 worker processes and durable journals without knowing what a fault or a
 report is.  ``repro.fault.campaign`` composes the three pieces:
-:class:`SupervisedPool` for crash-tolerant parallel shards,
-:func:`time_limit` for per-task wall-clock deadlines, and
-:class:`CampaignJournal` for crash-safe checkpoint/resume.
+:class:`SupervisedPool` runs every campaign — in-process or on
+crash-tolerant worker processes — and enforces per-task wall-clock
+deadlines with :func:`time_limit`; :class:`CampaignJournal` gives
+crash-safe checkpoint/resume.
 """
 
 from repro.exec.deadline import DeadlineExceeded, can_enforce, time_limit

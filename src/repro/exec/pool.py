@@ -18,9 +18,9 @@ too expensive to lose and too deterministic to need loose semantics, so
   backstop ``SIGKILL``s workers stuck past twice the task deadline
   (covering hangs in C extensions that ``SIGALRM`` cannot interrupt);
 * dead workers are **respawned** against a bounded budget with
-  exponential backoff; when the budget runs out the pool degrades to
-  in-process sequential execution with a one-line warning — the run
-  completes either way;
+  exponential backoff; when the budget runs out the pool degrades with
+  a one-line warning and hands its queued tasks back (see below) —
+  a batch run completes either way;
 * a task overrunning its wall-clock deadline (worker-side
   :func:`~repro.exec.deadline.time_limit`) is retried on a fresh worker
   up to *max_retries* times, then **quarantined** — reported as a
@@ -39,18 +39,25 @@ worker ``os._exit(42)`` with that probability on each task receipt —
 the supervision path is then exercised for real by the test suite and
 the CI resilience-smoke job.
 
-Two driving modes share the same supervision machinery:
+One supervision loop, two drivers:
 
-* :meth:`SupervisedPool.run` — the original batch mode: a fixed task
-  list in, results out, used by fault campaigns;
-* the **stream mode** (:meth:`start_stream` / :meth:`submit_stream` /
+* the **stream** driver (:meth:`start_stream` / :meth:`submit_stream` /
   :meth:`pump` / :meth:`cancel_stream` / :meth:`stop_stream`) — tasks
   arrive one at a time over the pool's lifetime and completions are
   delivered through callbacks, which is what a long-lived job server
   (``repro serve``) needs.  Stream tasks may additionally emit
   progress **events**: a session exposing ``bind_emitter(emit)`` gets
   a callable that ships any JSON-able payload back to the parent's
-  ``on_event`` callback while the task is still running.
+  ``on_event`` callback while the task is still running;
+* the **batch** driver :meth:`SupervisedPool.run` — a fixed task list
+  in, results out, used by fault campaigns.  It submits every task to
+  a stream and pumps until nothing is unresolved.
+
+Work that cannot reach a worker runs on the single in-process
+executor: ``jobs <= 1``, a one-task batch, a batch whose workers
+cannot start, and — after the one degrade decision, when workers are
+gone and the respawn budget is spent — the tasks a batch had queued.
+A stream instead fails those queued tasks back to its caller.
 """
 
 from __future__ import annotations
@@ -230,7 +237,8 @@ class SupervisedPool:
         before quarantine.
     max_respawns:
         Total respawn budget; default ``8 + 4 * jobs``.  When spent,
-        remaining work degrades to in-process execution.
+        queued tasks fail as ``"degraded"`` (a batch run reruns them
+        in-process).
     start_method:
         Explicit multiprocessing start method; default fork-preferred.
     tracer:
@@ -266,7 +274,7 @@ class SupervisedPool:
         self._on_event: Callable[[int, Any], None] | None = None
 
     # ------------------------------------------------------------------
-    # public API
+    # batch driver
     # ------------------------------------------------------------------
     def run(self, tasks: Sequence[Any], *,
             on_result: Callable[[int, Any], None] | None = None,
@@ -275,34 +283,50 @@ class SupervisedPool:
 
         *on_result* fires exactly once per task index as its result
         becomes durable in the parent (the campaign journals there);
-        *on_meta* fires once with the first worker's session metadata
-        and may raise to abort the run (e.g. resume-consistency checks).
+        *on_meta* fires once with the first session's metadata and may
+        raise to abort the run (e.g. resume-consistency checks).  A run
+        on the in-process executor always builds the session, so
+        *on_meta* fires even for an empty task list.
         """
-        self.stats = _fresh_stats(self.jobs)
-        self._meta = None
-        self._meta_seen = False
-        self._respawns = 0
+        tasks = list(tasks)
         results: dict[int, Any] = {}
         failures: dict[int, dict[str, str]] = {}
-        retries: dict[int, int] = {}
-        tasks = list(tasks)
-        if not tasks:
-            return PoolOutcome(results, failures, self._meta, self.stats)
-        if self.jobs <= 1 or len(tasks) == 1:
-            self._run_inline(tasks, range(len(tasks)), results, failures,
-                             retries, on_result, on_meta)
+        degraded: list[int] = []
+
+        def deliver(idx: int, value: Any) -> None:
+            results[idx] = value
+            if on_result is not None:
+                on_result(idx, value)
+
+        def fail(idx: int, info: Mapping[str, str]) -> None:
+            if info["error"] == "task_error":
+                raise PoolError(f"worker task {idx} failed: {info['detail']}")
+            if info["error"] == "degraded":
+                degraded.append(idx)
+            else:
+                failures[idx] = dict(info)
+
+        if not self._start(min(self.jobs, len(tasks)), deliver, fail,
+                           None, on_meta):
+            self._run_inline(tasks, range(len(tasks)), deliver, fail,
+                             on_meta)
             return PoolOutcome(results, failures, self._meta, self.stats)
         try:
-            self._supervise(tasks, results, failures, retries,
-                            on_result, on_meta)
+            for idx, task in enumerate(tasks):
+                self.submit_stream(idx, task)
+            while self.pump(block=True):
+                pass
         except BaseException:
             self._shutdown(force=True)
             raise
-        self._shutdown(force=False)
+        finally:
+            self.stop_stream()
+        if degraded:
+            self._run_inline(tasks, sorted(degraded), deliver, fail, on_meta)
         return PoolOutcome(results, failures, self._meta, self.stats)
 
     # ------------------------------------------------------------------
-    # stream mode (long-lived servers)
+    # stream driver (long-lived servers)
     # ------------------------------------------------------------------
     def start_stream(self, *,
                      on_result: Callable[[int, Any], None],
@@ -320,40 +344,11 @@ class SupervisedPool:
         the index is cancelled first); *on_event* relays worker-side
         progress payloads as ``(idx, payload)`` while tasks run.
         """
-        self.stats = _fresh_stats(self.jobs)
-        self._meta = None
-        self._meta_seen = False
-        self._respawns = 0
-        if self.jobs <= 1:
-            return False
         try:
-            self._ctx = self._context()
-        except ValueError:
+            return self._start(self.jobs, on_result, on_failure, on_event,
+                               on_meta)
+        except TaskPickleError:
             return False
-        if self._ctx.get_start_method() != "fork":
-            try:
-                pickle.dumps(self.session_factory)
-            except Exception:
-                return False
-        self._on_event = on_event
-        self._stream = {
-            "tasks": {},        # idx -> payload (pruned once resolved)
-            "pending": deque(),
-            "results": {},      # idx -> None tombstone after delivery
-            "failures": {},
-            "retries": {},
-            "reported": set(),
-            "on_result": on_result,
-            "on_failure": on_failure,
-            "on_meta": on_meta,
-        }
-        for _ in range(self.jobs):
-            self._spawn()
-        if not self._workers:
-            self._stream = None
-            self._on_event = None
-            return False
-        return True
 
     def submit_stream(self, idx: int, task: Any) -> None:
         """Queue one task under a caller-chosen unique index."""
@@ -372,21 +367,16 @@ class SupervisedPool:
         stream = self._stream
         if stream is None:
             return 0
-        results, failures = stream["results"], stream["failures"]
-        pending, retries = stream["pending"], stream["retries"]
-        unresolved = any(idx not in results and idx not in failures
-                         for idx in pending)
-        if unresolved and not self._workers:
-            if self._spawn(respawn=True) is None:
-                self._degrade_stream()
-        self._dispatch(stream["tasks"], pending, results, failures)
+        if (not self._workers
+                and any(not self._resolved(idx) for idx in stream["pending"])
+                and self._spawn(respawn=True) is None):
+            self._degrade_stream()
+        self._dispatch()
         msg = self._poll(block=block)
         while msg is not None:
-            self._handle(msg, results, failures, pending, retries,
-                         self._deliver_result, stream["on_meta"])
+            self._handle(msg)
             msg = self._poll(block=False)
-        self._reap(pending, results, failures, retries,
-                   self._deliver_result, stream["on_meta"])
+        self._reap()
         self._deliver_failures()
         return len(stream["tasks"])
 
@@ -402,7 +392,7 @@ class SupervisedPool:
             return False
         if idx not in stream["tasks"]:
             return False
-        if idx in stream["results"] or idx in stream["failures"]:
+        if self._resolved(idx):
             return False
         stream["failures"][idx] = {"error": "cancelled",
                                    "detail": "cancelled by caller"}
@@ -431,6 +421,60 @@ class SupervisedPool:
             self._stream = None
             self._on_event = None
 
+    # ------------------------------------------------------------------
+    # supervised execution
+    # ------------------------------------------------------------------
+    def _start(self, workers: int, on_result, on_failure, on_event,
+               on_meta) -> bool:
+        """Reset the counters and open a stream on *workers* processes.
+
+        Returns ``False`` when process workers are unavailable; raises
+        :class:`TaskPickleError` when the session factory does not
+        survive a non-fork start method.
+        """
+        self.stats = _fresh_stats(self.jobs)
+        self._meta = None
+        self._meta_seen = False
+        self._respawns = 0
+        if workers <= 1:
+            return False
+        try:
+            self._ctx = self._context()
+        except ValueError:
+            return False
+        if self._ctx.get_start_method() != "fork":
+            try:
+                pickle.dumps(self.session_factory)
+            except Exception as exc:
+                raise TaskPickleError(
+                    "session factory does not pickle under the "
+                    f"{self._ctx.get_start_method()!r} start method: "
+                    f"{type(exc).__name__}: {exc}"
+                ) from exc
+        self._on_event = on_event
+        self._stream = {
+            "tasks": {},        # idx -> payload (pruned once resolved)
+            "pending": deque(),
+            "results": {},      # idx -> None tombstone after delivery
+            "failures": {},
+            "retries": {},
+            "reported": set(),
+            "on_result": on_result,
+            "on_failure": on_failure,
+            "on_meta": on_meta,
+        }
+        for _ in range(workers):
+            self._spawn()
+        if not self._workers:
+            self._stream = None
+            self._on_event = None
+            return False
+        return True
+
+    def _resolved(self, idx: int) -> bool:
+        stream = self._stream
+        return idx in stream["results"] or idx in stream["failures"]
+
     def _deliver_result(self, idx: int, value: Any) -> None:
         stream = self._stream
         if idx in stream["reported"]:
@@ -452,66 +496,27 @@ class SupervisedPool:
             stream["on_failure"](idx, info)
 
     def _degrade_stream(self) -> None:
-        """Workers are gone for good: fail whatever is still queued."""
+        """Workers are gone for good: fail whatever is still queued.
+
+        The pool's one degrade decision.  Each queued task fails with
+        ``"degraded"``: the batch driver reruns those tasks in-process,
+        a stream caller decides for itself (``repro serve`` requeues
+        them onto worker threads).
+        """
         stream = self._stream
         self.stats["fallback"] = 1
         sys.stderr.write(
-            "repro: supervised pool stream degraded: respawn budget "
-            "spent; failing queued tasks back to the caller\n"
+            "repro: supervised pool degraded: no workers left and the "
+            "respawn budget is spent; queued tasks go back to the caller\n"
         )
         for idx in stream["pending"]:
-            if idx in stream["results"] or idx in stream["failures"]:
+            if self._resolved(idx):
                 continue
             stream["failures"][idx] = {
                 "error": "degraded",
                 "detail": "worker pool exhausted its respawn budget",
             }
         stream["pending"].clear()
-
-    # ------------------------------------------------------------------
-    # supervised execution
-    # ------------------------------------------------------------------
-    def _supervise(self, tasks, results, failures, retries,
-                   on_result, on_meta) -> None:
-        total = len(tasks)
-        try:
-            self._ctx = self._context()
-        except ValueError as exc:
-            self._degrade(f"no usable start method ({exc})")
-            self._run_inline(tasks, range(total), results, failures,
-                             retries, on_result, on_meta)
-            return
-        if self._ctx.get_start_method() != "fork":
-            try:
-                pickle.dumps(self.session_factory)
-            except Exception as exc:
-                raise TaskPickleError(
-                    "session factory does not pickle under the "
-                    f"{self._ctx.get_start_method()!r} start method: "
-                    f"{type(exc).__name__}: {exc}"
-                ) from exc
-        for _ in range(min(self.jobs, total)):
-            self._spawn()
-        pending: deque[int] = deque(range(total))
-        while len(results) + len(failures) < total:
-            if not self._workers:
-                if self._spawn(respawn=True) is None:
-                    self._degrade(
-                        "no workers left and the respawn budget is spent"
-                    )
-                    remaining = [i for i in range(total)
-                                 if i not in results and i not in failures]
-                    self._run_inline(tasks, remaining, results, failures,
-                                     retries, on_result, on_meta)
-                    return
-            self._dispatch(tasks, pending, results, failures)
-            msg = self._poll(block=True)
-            while msg is not None:
-                self._handle(msg, results, failures, pending, retries,
-                             on_result, on_meta)
-                msg = self._poll(block=False)
-            self._reap(pending, results, failures, retries,
-                       on_result, on_meta)
 
     def _context(self):
         if self.start_method:
@@ -553,7 +558,9 @@ class SupervisedPool:
         self._workers[wid] = worker
         return worker
 
-    def _dispatch(self, tasks, pending, results, failures) -> None:
+    def _dispatch(self) -> None:
+        stream = self._stream
+        pending = stream["pending"]
         for worker in self._workers.values():
             if (not worker.ready or worker.retiring or worker.broken
                     or worker.inflight is not None
@@ -562,7 +569,7 @@ class SupervisedPool:
             idx = None
             while pending:
                 candidate = pending.popleft()
-                if candidate in results or candidate in failures:
+                if self._resolved(candidate):
                     continue  # resolved while re-queued
                 idx = candidate
                 break
@@ -571,7 +578,7 @@ class SupervisedPool:
             worker.inflight = idx
             worker.dispatched_at = time.monotonic()
             try:
-                worker.task_conn.send((idx, tasks[idx]))
+                worker.task_conn.send((idx, stream["tasks"][idx]))
             except (BrokenPipeError, OSError, ValueError):
                 worker.inflight = None
                 pending.appendleft(idx)
@@ -597,8 +604,8 @@ class SupervisedPool:
                 conns[conn].eof = True
         return None
 
-    def _handle(self, msg, results, failures, pending, retries,
-                on_result, on_meta) -> None:
+    def _handle(self, msg) -> None:
+        stream = self._stream
         kind, wid = msg[0], msg[1]
         worker = self._workers.get(wid)
         if worker is not None:
@@ -607,45 +614,40 @@ class SupervisedPool:
             if worker is not None:
                 worker.ready = True
                 worker.golden_s = msg[3]
-            self._check_meta(msg[2], on_meta)
+            self._check_meta(msg[2], stream["on_meta"])
         elif kind == "ok":
             idx, value = msg[2], msg[3]
             if worker is not None and worker.inflight == idx:
                 worker.inflight = None
                 worker.tasks += 1
-            if idx in results or idx in failures:
+            if self._resolved(idx):
                 return  # duplicate: crashed worker's task already redone
-            results[idx] = value
-            if on_result is not None:
-                on_result(idx, value)
+            self._deliver_result(idx, value)
         elif kind == "timeout":
             idx = msg[2]
             if worker is not None and worker.inflight == idx:
                 worker.inflight = None
-            self.stats["timeouts"] += 1
-            self._after_timeout(idx, msg[3], results, failures, pending,
-                                retries)
+            self._stream_timeout(idx, msg[3])
             if worker is not None:
                 self._retire(worker)
         elif kind == "event":
             if self._on_event is not None and msg[2] is not None:
                 self._on_event(msg[2], msg[3])
         elif kind == "task_error":
-            if self._stream is not None:
-                # A long-lived server must outlive one bad job: record
-                # the failure against the task and keep the worker.
-                idx = msg[2]
-                if worker is not None and worker.inflight == idx:
-                    worker.inflight = None
-                if idx not in results and idx not in failures:
-                    failures[idx] = {"error": "task_error",
-                                     "detail": str(msg[3])}
-                return
-            raise PoolError(f"worker task {msg[2]} failed: {msg[3]}")
+            # Record the failure against the task and keep the worker:
+            # a long-lived server must outlive one bad job (the batch
+            # driver turns it into a PoolError on delivery).
+            idx = msg[2]
+            if worker is not None and worker.inflight == idx:
+                worker.inflight = None
+            if not self._resolved(idx):
+                stream["failures"][idx] = {"error": "task_error",
+                                           "detail": str(msg[3])}
         elif kind == "init_error":
             # The factory raised in the child.  Don't respawn a doomed
-            # worker; if every worker breaks this way the main loop
-            # degrades to in-process, where the real traceback surfaces.
+            # worker; if every worker breaks this way the pool degrades
+            # and the batch driver reruns in-process, where the real
+            # traceback surfaces.
             self.stats["init_errors"] += 1
             if worker is not None:
                 worker.broken = True
@@ -668,18 +670,27 @@ class SupervisedPool:
                 "deterministic across processes"
             )
 
-    def _after_timeout(self, idx, detail, results, failures, pending,
-                       retries) -> None:
-        if idx in results or idx in failures:
-            return
+    def _timed_out(self, idx, detail, pending, retries) -> dict | None:
+        """Count a timeout of *idx*: re-queue it for another attempt, or
+        return its quarantine record once *max_retries* are spent."""
+        self.stats["timeouts"] += 1
         attempts = retries.get(idx, 0)
         if attempts < self.max_retries:
             retries[idx] = attempts + 1
             self.stats["timeout_retries"] += 1
             pending.appendleft(idx)
-        else:
-            failures[idx] = {"error": "timed_out", "detail": str(detail)}
-            self.stats["quarantined"] += 1
+            return None
+        self.stats["quarantined"] += 1
+        return {"error": "timed_out", "detail": str(detail)}
+
+    def _stream_timeout(self, idx, detail) -> None:
+        stream = self._stream
+        if self._resolved(idx):
+            return
+        failure = self._timed_out(idx, detail, stream["pending"],
+                                  stream["retries"])
+        if failure is not None:
+            stream["failures"][idx] = failure
 
     def _retire(self, worker: _Worker) -> None:
         """Stop giving a worker tasks and replace it with a fresh one."""
@@ -692,8 +703,7 @@ class SupervisedPool:
             pass
         self._spawn(respawn=True)
 
-    def _drain_conn(self, worker, results, failures, pending, retries,
-                    on_result, on_meta) -> None:
+    def _drain_conn(self, worker) -> None:
         """Read out everything a (dead) worker managed to send."""
         while not worker.eof:
             try:
@@ -703,8 +713,7 @@ class SupervisedPool:
             except (EOFError, OSError):
                 worker.eof = True
                 return
-            self._handle(msg, results, failures, pending, retries,
-                         on_result, on_meta)
+            self._handle(msg)
 
     def _close_conns(self, worker: _Worker) -> None:
         for conn in (worker.task_conn, worker.result_conn):
@@ -713,8 +722,7 @@ class SupervisedPool:
             except OSError:  # pragma: no cover - already closed
                 pass
 
-    def _reap(self, pending, results, failures, retries,
-              on_result, on_meta) -> None:
+    def _reap(self) -> None:
         now = time.monotonic()
         for wid, worker in list(self._workers.items()):
             process = worker.process
@@ -724,8 +732,7 @@ class SupervisedPool:
                 # pipe; those are real, durable work — read them before
                 # judging the corpse, or a crash just after an "ok"
                 # send would re-run (harmless) or miscount the task.
-                self._drain_conn(worker, results, failures, pending,
-                                 retries, on_result, on_meta)
+                self._drain_conn(worker)
                 self._record_worker(worker)
                 self._close_conns(worker)
                 del self._workers[wid]
@@ -735,9 +742,8 @@ class SupervisedPool:
                     continue
                 self.stats["crashes"] += 1
                 idx = worker.inflight
-                if (idx is not None and idx not in results
-                        and idx not in failures):
-                    pending.appendleft(idx)
+                if idx is not None and not self._resolved(idx):
+                    self._stream["pending"].appendleft(idx)
                     self.stats["crash_requeues"] += 1
                 self._spawn(respawn=True)
             elif (self.task_timeout is not None
@@ -751,60 +757,40 @@ class SupervisedPool:
                 self._close_conns(worker)
                 del self._workers[wid]
                 self.stats["hung_kills"] += 1
-                self.stats["timeouts"] += 1
-                self._after_timeout(
+                self._stream_timeout(
                     worker.inflight,
                     f"worker hung past {self.task_timeout * 2:.1f}s "
                     "backstop and was killed",
-                    results, failures, pending, retries,
                 )
                 self._spawn(respawn=True)
 
     # ------------------------------------------------------------------
-    # inline (degraded / jobs=1) execution
+    # in-process executor
     # ------------------------------------------------------------------
-    def _run_inline(self, tasks, indices, results, failures, retries,
-                    on_result, on_meta) -> None:
+    def _run_inline(self, tasks, indices, on_result, on_failure,
+                    on_meta) -> None:
+        """Run *indices* of *tasks* on one session in this process."""
         session = self.session_factory()
         self._check_meta(getattr(session, "meta", None), on_meta)
-        for idx in indices:
-            if idx in results or idx in failures:
+        pending = deque(indices)
+        retries: dict[int, int] = {}
+        while pending:
+            idx = pending.popleft()
+            try:
+                with time_limit(self.task_timeout, label=f"task[{idx}]"):
+                    value = session.run(tasks[idx])
+            except DeadlineExceeded as exc:
+                failure = self._timed_out(idx, exc, pending, retries)
+                if failure is not None:
+                    on_failure(idx, failure)
                 continue
-            while True:
-                try:
-                    with time_limit(self.task_timeout,
-                                    label=f"task[{idx}]"):
-                        value = session.run(tasks[idx])
-                except DeadlineExceeded as exc:
-                    self.stats["timeouts"] += 1
-                    attempts = retries.get(idx, 0)
-                    if attempts < self.max_retries:
-                        retries[idx] = attempts + 1
-                        self.stats["timeout_retries"] += 1
-                        continue
-                    failures[idx] = {"error": "timed_out",
-                                     "detail": str(exc)}
-                    self.stats["quarantined"] += 1
-                    break
-                else:
-                    self.stats["inline_tasks"] += 1
-                    results[idx] = value
-                    if on_result is not None:
-                        on_result(idx, value)
-                    break
+            self.stats["inline_tasks"] += 1
+            on_result(idx, value)
         stats = getattr(session, "stats", None)
         if callable(stats):
             summary = stats()
             if summary is not None:
                 self.tracer.record("inline", 0.0, sim_stats=summary)
-
-    def _degrade(self, reason: str) -> None:
-        self.stats["fallback"] = 1
-        sys.stderr.write(
-            f"repro: supervised pool degraded to in-process execution: "
-            f"{reason}\n"
-        )
-        self._shutdown(force=True)
 
     # ------------------------------------------------------------------
     # teardown

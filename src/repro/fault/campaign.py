@@ -32,13 +32,11 @@ from __future__ import annotations
 
 import functools
 import json
-import multiprocessing
 import random
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
-from repro.exec.deadline import DeadlineExceeded, time_limit
+from repro.exec.deadline import DeadlineExceeded
 from repro.exec.journal import CampaignJournal, fault_key
 from repro.exec.pool import (
     MetaMismatchError,
@@ -659,82 +657,64 @@ def _outcome_tally(records: Sequence[FaultRecord]) -> dict[str, int]:
     return counts
 
 
-def _run_shard(payload: tuple) -> dict[str, Any]:
-    """Worker: rebuild the injector, rerun the golden run, classify a shard.
-
-    Module-level so it pickles under every multiprocessing start method.
-    Each shard measures its own wall time and work counters so the
-    parent can roll them up as per-shard trace spans.
-    """
-    injector_factory, stimulus, faults, config = payload
-    start = time.perf_counter()
-    injector = injector_factory()
-    snap_cycles = {fault.cycle for fault in faults} | {0}
-    golden = _golden_run(injector, stimulus, config, snap_cycles)
-    golden_s = time.perf_counter() - start
-    records = [_classify(injector, fault, stimulus, golden, config)
-               for fault in faults]
-    total_s = time.perf_counter() - start
-    return {
-        "meta": _golden_meta(injector, golden),
-        "records": records,
-        "profile": {
-            "seconds": total_s,
-            "golden_s": golden_s,
-            "faults": len(faults),
-            "outcomes": _outcome_tally(records),
-            "sim_stats": _sim_stats(injector),
-        },
-    }
-
-
-def _mp_context():
-    """Fork where available (cheap, inherits sys.path), else spawn.
-
-    Retained alongside :func:`_run_shard` as the pre-supervision
-    execution engine: ``benchmarks/bench_resilience_overhead.py`` uses
-    the pair as the baseline the supervised pool is measured against.
-    """
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        return multiprocessing.get_context("spawn")
-
-
 class _CampaignSession:
-    """Per-worker campaign state for the supervised pool.
+    """Campaign state for one executor of the supervised pool.
 
     Built once per worker process (injector + checkpointed golden run),
-    then classifies one fault per ``run`` call.  ``meta`` is the
-    cross-worker consistency contract: every worker must reproduce the
-    identical golden run or the campaign refuses to merge shards.
+    then classifies one task per ``run`` call: a scalar fault, or a
+    tuple of stuck-at faults replayed as one lane batch.  ``meta`` is
+    the cross-worker consistency contract: every worker must reproduce
+    the identical golden run or the campaign refuses to merge shards.
     Module-level so ``functools.partial`` over it pickles under every
     multiprocessing start method.
+
+    With a *tracer* (the in-process ``jobs=1`` session only) the golden
+    run and every task get their own span under the caller's open span.
     """
 
-    def __init__(self, injector_factory, stimulus, snap_cycles, config):
+    def __init__(self, injector_factory, stimulus, snap_cycles, config,
+                 tracer: Tracer | None = None):
+        self.tracer = tracer or NULL_TRACER
         self.injector = injector_factory()
         self.stimulus = stimulus
         self.config = config
-        self.golden = _golden_run(self.injector, stimulus,
-                                  config, set(snap_cycles))
+        with self.tracer.span("golden") as golden_span:
+            self.golden = _golden_run(self.injector, stimulus,
+                                      config, set(snap_cycles))
+        golden_span.annotate(selfcheck=self.golden.selfcheck,
+                             done=self.golden.done,
+                             drain_cycles=self.golden.drain_cycles)
         self.meta = _golden_meta(self.injector, self.golden)
 
     def run(self, task: Fault | tuple) -> FaultRecord | list[FaultRecord]:
         if isinstance(task, tuple):  # lane batch → one record per fault
+            label = f"lanes[{len(task)}]@{min(f.cycle for f in task)}"
+            with self.tracer.span(label) as batch_span:
+                try:
+                    records = _classify_batch(self.injector, list(task),
+                                              self.stimulus, self.golden,
+                                              self.config)
+                except Exception:
+                    # A lane-parallel surprise must never cost the batch
+                    # its classification: fall back to the scalar oracle.
+                    self.injector.clear_faults()
+                    records = [_classify(self.injector, fault,
+                                         self.stimulus, self.golden,
+                                         self.config)
+                               for fault in task]
+            batch_span.annotate(faults=len(task),
+                                outcomes=_outcome_tally(records))
+            return records
+        label = f"{task.kind}:{task.target}[{task.bit}]@{task.cycle}"
+        with self.tracer.span(label) as fault_span:
             try:
-                return _classify_batch(self.injector, list(task),
-                                       self.stimulus, self.golden,
-                                       self.config)
-            except Exception:
-                # A lane-parallel surprise must never cost the batch its
-                # classification: fall back to the scalar oracle.
-                self.injector.clear_faults()
-                return [_classify(self.injector, fault, self.stimulus,
-                                  self.golden, self.config)
-                        for fault in task]
-        return _classify(self.injector, task, self.stimulus, self.golden,
-                         self.config)
+                record = _classify(self.injector, task, self.stimulus,
+                                   self.golden, self.config)
+            except DeadlineExceeded:
+                fault_span.annotate(outcome="timed_out")
+                raise
+        fault_span.annotate(outcome=record.outcome)
+        return record
 
     def stats(self) -> dict[str, Any] | None:
         return _sim_stats(self.injector)
@@ -776,91 +756,33 @@ def _campaign_fingerprint(design: str, hardening: str, seed: int,
     })
 
 
-def run_campaign(
-    injector,
-    stimulus: Sequence[Mapping[str, int]],
-    faults: Sequence[Fault],
-    config: CampaignConfig | None = None,
-    *,
-    design: str = "",
-    hardening: str = "none",
-    seed: int = 0,
-    jobs: int = 1,
-    injector_factory: Callable[[], Any] | None = None,
-    collapse: bool = False,
-    tracer: Tracer | None = None,
-    fault_timeout: float | None = None,
-    max_retries: int = 1,
-    journal: str | None = None,
-    resume: bool = False,
-    start_method: str | None = None,
-) -> CampaignResult:
-    """Golden run + per-fault replay + classification (see module doc).
+@dataclass
+class _CampaignPlan:
+    """What a campaign simulates once every shortcut has been taken."""
 
-    With ``jobs > 1`` the deduplicated fault list runs on a
-    :class:`~repro.exec.pool.SupervisedPool` of worker processes;
-    *injector_factory* (a picklable zero-argument callable) rebuilds
-    the injector in each worker, and *injector* may then be ``None``.
-    The merged report is byte-identical to the ``jobs=1`` run, and it
-    stays byte-identical when workers crash mid-campaign: the dead
-    worker's in-flight fault is re-queued onto a respawned worker.
-    When workers cannot be spawned at all the campaign degrades to
-    in-process sequential execution with a one-line warning.
+    unique: list[Fault]            # deduplicated fault list
+    index_of: dict[Fault, int]     # fault -> its index in ``unique``
+    canonical: list[Fault]         # each unique fault's representative
+    masked: list[bool]             # unique fault proven masked statically
+    sim_faults: list[Fault]        # representatives that need records
+    sim_index: dict[Fault, int]    # representative -> its sim index
+    sim_records: list[FaultRecord | None]  # journal-restored or fresh
+    pending: list[int]             # sim indices left to simulate
+    journal_hits: int
+    injector: Any
+    jobs: int
+    tasks: list[Any]               # a scalar fault or a lane-batch tuple
+    task_map: list[list[int]]      # task -> the sim indices it classifies
+    lane_batches: int
+    collapse: dict[str, int] | None
+    net_scores: dict[str, float] | None
 
-    *fault_timeout* puts a wall-clock deadline (seconds) on each fault
-    replay, complementing the cycle budget: a fault that overruns is
-    retried up to *max_retries* times (on a fresh worker when
-    parallel), then quarantined into the result's ``errors`` section —
-    never misclassified, never able to stall the campaign.
 
-    *journal* names a crash-safe append-only checkpoint file
-    (``repro-journal/v1``); with ``resume=True`` faults already
-    recorded by a previous (possibly killed) run of the *same*
-    campaign are restored instead of re-simulated, and the final
-    report is byte-identical to an uninterrupted run.  The journal is
-    fingerprint-bound: any change to the campaign starts fresh.
-
-    With ``collapse=True`` (gate flow) the static netlist analysis cuts
-    the simulated set in two ways before any replay happens: each fault
-    is canonicalized to its structural equivalence-class representative
-    (:mod:`repro.analyze.netlist`), and stuck-at faults proven masked by
-    one instrumented golden pass (:mod:`repro.fault.profile`) have their
-    records synthesized outright.  Both reductions are
-    classification-preserving, so the result — including the serialized
-    report — is byte-identical to the uncollapsed run; the extra
-    ``collapse`` stats and per-net ``net_scores`` ride on the result
-    object only.  At RTL level ``collapse=True`` is a no-op.
-
-    With a :class:`~repro.obs.profiler.Tracer`, the campaign records a
-    ``campaign`` root span with a ``golden`` child, one span per unique
-    fault replay (sequential) or one rollup span per worker
-    (``jobs > 1``), plus faults/sec throughput, per-outcome tallies,
-    the simulator's work counters and the resilience counters
-    (respawns, re-queues, timeouts, journal hits — also on the
-    result's ``exec_stats``) as span metadata.
-    """
-    tracer = tracer or NULL_TRACER
-    config = config or CampaignConfig()
-    stimulus = [{config.reset_name: 0, **dict(entry)} for entry in stimulus]
-    if not stimulus:
-        raise ValueError("campaign needs a non-empty stimulus")
-    for fault in faults:
-        if not 0 <= fault.cycle < len(stimulus):
-            raise ValueError(
-                f"fault cycle {fault.cycle} outside the "
-                f"{len(stimulus)}-cycle stimulus"
-            )
-    if jobs > 1 and injector_factory is None:
-        raise ValueError(
-            "run_campaign(jobs>1) needs a picklable injector_factory so "
-            "worker processes can rebuild the injector"
-        )
-    if resume and journal is None:
-        raise ValueError(
-            "run_campaign(resume=True) needs a journal path to resume from"
-        )
-    max_retries = max(0, int(max_retries))
-
+def _plan_campaign(injector, injector_factory, stimulus, faults, config, *,
+                   jobs: int, collapse: bool, lanes: bool,
+                   jrnl: CampaignJournal | None,
+                   tracer: Tracer) -> _CampaignPlan:
+    """Plan: dedupe, collapse, journal preload and lane batching."""
     # Identical faults replay identically (determinism guarantee), so
     # simulate each unique fault once and share its record.
     unique: list[Fault] = []
@@ -915,321 +837,341 @@ def run_campaign(
         }
 
     # Checkpoint/resume: restore already-journaled records, simulate
-    # only what remains.  The journal stays open for the whole run so
-    # every fresh record is durable the moment it is classified.
+    # only what remains.
     sim_records: list[FaultRecord | None] = [None] * len(sim_faults)
-    sim_failures: dict[int, dict[str, str]] = {}
     journal_hits = 0
+    if jrnl is not None:
+        canonical_entries: dict[str, dict[str, Any]] = {}
+        if collapse and jrnl.entries:
+            # A journal written by a plain run keys its records by
+            # the original fault ids; index every entry under its
+            # equivalence-class representative too, so a collapsed
+            # resume can reuse a member's record for the class it
+            # now simulates.  Classification is class-invariant —
+            # the property collapse's byte-identity rests on — so
+            # any member's record stands in for the representative.
+            for doc in jrnl.entries.values():
+                entry_fault = Fault(
+                    doc["fault"]["kind"], doc["fault"]["target"],
+                    int(doc["fault"]["bit"]), int(doc["fault"]["cycle"]),
+                )
+                rep_key = fault_key(
+                    collapse_fault(entry_fault, cmap).as_dict()
+                )
+                canonical_entries.setdefault(rep_key, doc)
+        for k, fault in enumerate(sim_faults):
+            key = fault_key(fault.as_dict())
+            doc = jrnl.entries.get(key)
+            if doc is None:
+                doc = canonical_entries.get(key)
+            if doc is not None:
+                record = deserialize_fault_record(doc)
+                if record.fault != fault:
+                    record = FaultRecord(fault, record.outcome,
+                                         record.first_divergence,
+                                         record.detail)
+                sim_records[k] = record
+                journal_hits += 1
+    pending = [k for k, record in enumerate(sim_records) if record is None]
+    jobs = max(1, min(int(jobs), max(1, len(pending))))
+
+    # Bit-parallel lane packing (PPSFP): after collapse has
+    # canonicalized the list, pack permanent stuck-at faults into
+    # lanes so one replay classifies up to ``lane_capacity`` of them.
+    # Per-fault wall-clock deadlines keep their scalar quarantine
+    # semantics, so batching steps aside when *lanes* is off (a
+    # *fault_timeout* is set); with ``jobs > 1`` the parent needs an
+    # *injector* (not just the factory) to plan the batches — without
+    # one every fault stays scalar.
+    if pending and jobs == 1 and injector is None:
+        injector = injector_factory()
+    batches: list[list[int]] = []
+    scalar_pending = list(pending)
+    if pending and lanes and getattr(injector, "lane_capacity", 0) > 1:
+        batches, scalar_pending = _lane_batches(injector, sim_faults,
+                                                pending)
+    # A task is one scalar fault or one lane batch (a tuple of faults
+    # classified in a single bit-parallel replay); task_map resolves
+    # each task back to its sim indices.
+    tasks: list[Any] = [tuple(sim_faults[k] for k in batch)
+                        for batch in batches]
+    tasks += [sim_faults[k] for k in scalar_pending]
+    task_map = [list(batch) for batch in batches]
+    task_map += [[k] for k in scalar_pending]
+    return _CampaignPlan(
+        unique, index_of, canonical, masked_flags, sim_faults, sim_index,
+        sim_records, pending, journal_hits, injector, jobs, tasks,
+        task_map, len(batches), collapse_stats, net_scores,
+    )
+
+
+def _execute_campaign(plan: _CampaignPlan, stimulus, config, *,
+                      injector_factory, fault_timeout: float | None,
+                      max_retries: int, start_method: str | None,
+                      jrnl: CampaignJournal | None, tracer: Tracer,
+                      campaign_span) -> tuple[dict[str, Any],
+                                              dict[int, dict[str, str]],
+                                              dict[str, int]]:
+    """Execute: every planned task through one :meth:`SupervisedPool.run`.
+
+    ``jobs=1`` runs on the pool's in-process executor with a session
+    over the caller's injector, traced per task under ``replay``;
+    ``jobs > 1`` shards over worker processes under ``shards``.  A full
+    resume from a journal that already holds the golden metadata
+    simulates nothing.  Returns the golden metadata, the quarantined
+    tasks' failures by sim index, and the execution counters.
+    """
+    journal_meta = jrnl.meta if jrnl is not None else None
+    exec_stats: dict[str, int] = {
+        "jobs": plan.jobs,
+        "simulated": len(plan.pending),
+        "journal_hits": plan.journal_hits,
+        "timeouts": 0,
+        "timeout_retries": 0,
+        "quarantined": 0,
+        "lane_batches": plan.lane_batches,
+    }
+    if not plan.pending and journal_meta is not None:
+        return journal_meta, {}, exec_stats
+
+    def check_meta(fresh_meta: Mapping[str, Any]) -> None:
+        if journal_meta is not None and dict(fresh_meta) != journal_meta:
+            raise CampaignError(
+                "the journal's golden-run metadata does not match this "
+                "campaign's golden run; refusing to resume into a "
+                "different report"
+            )
+        if jrnl is not None:
+            jrnl.set_meta(fresh_meta)
+
+    def on_result(i: int, result: Any) -> None:
+        records = result if isinstance(result, list) else [result]
+        for k, record in zip(plan.task_map[i], records):
+            plan.sim_records[k] = record
+            if jrnl is not None:
+                jrnl.append_record(serialize_fault_record(record))
+
+    snap_cycles = tuple(sorted(
+        {plan.sim_faults[k].cycle for k in plan.pending} | {0}
+    ))
+    if plan.jobs == 1:
+        injector = plan.injector or injector_factory()
+        session = _CampaignSession(lambda: injector, stimulus, snap_cycles,
+                                   config, tracer)
+        factory = lambda: session  # in-process only: never pickled
+    else:
+        session = None
+        factory = functools.partial(_CampaignSession, injector_factory,
+                                    stimulus, snap_cycles, config)
+    pool = SupervisedPool(factory, plan.jobs, task_timeout=fault_timeout,
+                          max_retries=max_retries, start_method=start_method,
+                          tracer=tracer if session is None else None)
+    with tracer.span("replay" if session is not None else "shards") as span:
+        try:
+            outcome = pool.run(plan.tasks, on_result=on_result,
+                               on_meta=check_meta)
+        except TaskPickleError as exc:
+            raise CampaignError(
+                "run_campaign(jobs>1) needs an injector_factory that "
+                f"pickles under the active start method: {exc}"
+            ) from exc
+        except MetaMismatchError as exc:
+            raise CampaignError(
+                "parallel campaign shards disagree on the golden run; "
+                "the injector factory is not deterministic across "
+                "processes"
+            ) from exc
+        except PoolError as exc:
+            raise CampaignError(str(exc)) from exc
+    replayed = [plan.sim_records[k] for k in plan.pending
+                if plan.sim_records[k] is not None]
+    span.annotate(faults=len(plan.pending),
+                  outcomes=_outcome_tally(replayed))
+    if span.dur:
+        span.annotate(faults_per_s=round(len(plan.pending) / span.dur, 2))
+    if session is not None:
+        stats = session.stats()
+        if stats is not None:
+            campaign_span.annotate(sim_stats=stats)
+    exec_stats.update(pool.stats)
+    failures = {k: failure for i, failure in outcome.failures.items()
+                for k in plan.task_map[i]}
+    return outcome.meta, failures, exec_stats
+
+
+def _assemble_campaign(plan: _CampaignPlan, faults: Sequence[Fault],
+                       failures: Mapping[int, dict[str, str]],
+                       jrnl: CampaignJournal | None, campaign_span,
+                       ) -> tuple[list[FaultRecord], list[dict[str, Any]]]:
+    """Assemble: expand collapsed records, restore order, list errors."""
+    # Expand representative records back over the unique list: a
+    # synthesized masked record for pruned faults, the shared record
+    # object where the fault was its own representative, and a rewrap
+    # carrying the original fault otherwise.  Quarantined
+    # representatives stay ``None`` and surface in the errors section.
+    unique_records: list[FaultRecord | None] = []
+    for fault, rep, masked in zip(plan.unique, plan.canonical, plan.masked):
+        if masked:
+            unique_records.append(FaultRecord(fault, "masked"))
+            continue
+        record = plan.sim_records[plan.sim_index[rep]]
+        if record is None or rep == fault:
+            unique_records.append(record)
+        else:
+            unique_records.append(FaultRecord(
+                fault, record.outcome, record.first_divergence,
+                record.detail,
+            ))
+    if plan.collapse is not None:
+        if jrnl is not None:
+            # Journal the expanded records too — not just the
+            # representatives — so a later resume of the same campaign
+            # (collapsed or plain) finds every fault under its own key.
+            # append_record dedups by key, so representatives are not
+            # re-written.
+            for record in unique_records:
+                if record is not None:
+                    jrnl.append_record(serialize_fault_record(record))
+        campaign_span.annotate(
+            collapse=plan.collapse,
+            expanded_records=sum(
+                1 for record in unique_records if record is not None
+            ),
+        )
+
+    records: list[FaultRecord] = []
+    errors: list[dict[str, Any]] = []
+    for fault in faults:
+        u = plan.index_of[fault]
+        record = unique_records[u]
+        if record is None:
+            failure = failures.get(
+                plan.sim_index[plan.canonical[u]],
+                {"error": "timed_out", "detail": ""},
+            )
+            errors.append({"fault": fault.as_dict(),
+                           "error": failure["error"],
+                           "detail": failure["detail"]})
+        else:
+            records.append(record)
+    return records, errors
+
+
+def run_campaign(
+    injector,
+    stimulus: Sequence[Mapping[str, int]],
+    faults: Sequence[Fault],
+    config: CampaignConfig | None = None,
+    *,
+    design: str = "",
+    hardening: str = "none",
+    seed: int = 0,
+    jobs: int = 1,
+    injector_factory: Callable[[], Any] | None = None,
+    collapse: bool = False,
+    tracer: Tracer | None = None,
+    fault_timeout: float | None = None,
+    max_retries: int = 1,
+    journal: str | None = None,
+    resume: bool = False,
+    start_method: str | None = None,
+) -> CampaignResult:
+    """Golden run + per-fault replay + classification (see module doc).
+
+    Every campaign runs its deduplicated fault list through one
+    :class:`~repro.exec.pool.SupervisedPool`.  With ``jobs > 1`` the
+    pool's worker processes each rebuild the injector through
+    *injector_factory* (a picklable zero-argument callable), and
+    *injector* may then be ``None``.  The merged report is
+    byte-identical to the ``jobs=1`` run, and it stays byte-identical
+    when workers crash mid-campaign: the dead worker's in-flight fault
+    is re-queued onto a respawned worker.  When workers cannot start,
+    or the respawn budget runs out (a one-line warning), the remaining
+    faults run in-process.
+
+    *fault_timeout* puts a wall-clock deadline (seconds) on each fault
+    replay, complementing the cycle budget: a fault that overruns is
+    retried up to *max_retries* times (on a fresh worker when
+    parallel), then quarantined into the result's ``errors`` section —
+    never misclassified, never able to stall the campaign.
+
+    *journal* names a crash-safe append-only checkpoint file
+    (``repro-journal/v1``); with ``resume=True`` faults already
+    recorded by a previous (possibly killed) run of the *same*
+    campaign are restored instead of re-simulated, and the final
+    report is byte-identical to an uninterrupted run.  The journal is
+    fingerprint-bound: any change to the campaign starts fresh.
+
+    With ``collapse=True`` (gate flow) the static netlist analysis cuts
+    the simulated set in two ways before any replay happens: each fault
+    is canonicalized to its structural equivalence-class representative
+    (:mod:`repro.analyze.netlist`), and stuck-at faults proven masked by
+    one instrumented golden pass (:mod:`repro.fault.profile`) have their
+    records synthesized outright.  Both reductions are
+    classification-preserving, so the result — including the serialized
+    report — is byte-identical to the uncollapsed run; the extra
+    ``collapse`` stats and per-net ``net_scores`` ride on the result
+    object only.  At RTL level ``collapse=True`` is a no-op.
+
+    With a :class:`~repro.obs.profiler.Tracer`, the campaign records a
+    ``campaign`` root span with a ``golden`` child, one span per unique
+    fault replay or lane batch (``jobs=1``) or one rollup span per
+    worker (``jobs > 1``), plus faults/sec throughput, per-outcome
+    tallies, the simulator's work counters and the resilience counters
+    (respawns, re-queues, timeouts, journal hits — also on the
+    result's ``exec_stats``) as span metadata.
+    """
+    tracer = tracer or NULL_TRACER
+    config = config or CampaignConfig()
+    stimulus = [{config.reset_name: 0, **dict(entry)} for entry in stimulus]
+    if not stimulus:
+        raise ValueError("campaign needs a non-empty stimulus")
+    for fault in faults:
+        if not 0 <= fault.cycle < len(stimulus):
+            raise ValueError(
+                f"fault cycle {fault.cycle} outside the "
+                f"{len(stimulus)}-cycle stimulus"
+            )
+    if jobs > 1 and injector_factory is None:
+        raise ValueError(
+            "run_campaign(jobs>1) needs a picklable injector_factory so "
+            "worker processes can rebuild the injector"
+        )
+    if resume and journal is None:
+        raise ValueError(
+            "run_campaign(resume=True) needs a journal path to resume from"
+        )
+
+    # The journal stays open for the whole run so every fresh record
+    # is durable the moment it is classified.
     jrnl: CampaignJournal | None = None
-    journal_meta: dict[str, Any] | None = None
     try:
         if journal is not None:
             fingerprint = _campaign_fingerprint(design, hardening, seed,
                                                 stimulus, config, faults)
             jrnl = CampaignJournal(journal, fingerprint).open(resume=resume)
-            journal_meta = jrnl.meta
-            canonical_entries: dict[str, dict[str, Any]] = {}
-            if collapse and jrnl.entries:
-                # A journal written by a plain run keys its records by
-                # the original fault ids; index every entry under its
-                # equivalence-class representative too, so a collapsed
-                # resume can reuse a member's record for the class it
-                # now simulates.  Classification is class-invariant —
-                # the property collapse's byte-identity rests on — so
-                # any member's record stands in for the representative.
-                for doc in jrnl.entries.values():
-                    entry_fault = Fault(
-                        doc["fault"]["kind"], doc["fault"]["target"],
-                        int(doc["fault"]["bit"]), int(doc["fault"]["cycle"]),
-                    )
-                    rep_key = fault_key(
-                        collapse_fault(entry_fault, cmap).as_dict()
-                    )
-                    canonical_entries.setdefault(rep_key, doc)
-            for k, fault in enumerate(sim_faults):
-                key = fault_key(fault.as_dict())
-                doc = jrnl.entries.get(key)
-                if doc is None:
-                    doc = canonical_entries.get(key)
-                if doc is not None:
-                    record = deserialize_fault_record(doc)
-                    if record.fault != fault:
-                        record = FaultRecord(fault, record.outcome,
-                                             record.first_divergence,
-                                             record.detail)
-                    sim_records[k] = record
-                    journal_hits += 1
-        pending = [k for k, record in enumerate(sim_records)
-                   if record is None]
-
-        jobs = max(1, min(int(jobs), max(1, len(pending))))
-        exec_stats: dict[str, int] = {
-            "jobs": jobs,
-            "simulated": len(pending),
-            "journal_hits": journal_hits,
-            "timeouts": 0,
-            "timeout_retries": 0,
-            "quarantined": 0,
-            "lane_batches": 0,
-        }
-
-        # Bit-parallel lane packing (PPSFP): after collapse has
-        # canonicalized the list, pack permanent stuck-at faults into
-        # lanes so one replay classifies up to ``lane_capacity`` of
-        # them.  Per-fault wall-clock deadlines keep their scalar
-        # quarantine semantics, so batching steps aside when a
-        # *fault_timeout* is set; with ``jobs > 1`` the parent needs an
-        # *injector* (not just the factory) to plan the batches —
-        # without one every fault stays scalar.
-        if pending and jobs == 1 and injector is None:
-            injector = injector_factory()
-        lane_cap = getattr(injector, "lane_capacity", 0)
-        batches: list[list[int]] = []
-        scalar_pending = list(pending)
-        if pending and lane_cap > 1 and fault_timeout is None:
-            batches, scalar_pending = _lane_batches(injector,
-                                                    sim_faults, pending)
-            exec_stats["lane_batches"] = len(batches)
-        meta = journal_meta
-
-        def check_meta(fresh_meta: Mapping[str, Any]) -> None:
-            if journal_meta is not None and dict(fresh_meta) != journal_meta:
-                raise CampaignError(
-                    "the journal's golden-run metadata does not match this "
-                    "campaign's golden run; refusing to resume into a "
-                    "different report"
-                )
-            if jrnl is not None:
-                jrnl.set_meta(fresh_meta)
-
+        plan = _plan_campaign(injector, injector_factory, stimulus, faults,
+                              config, jobs=jobs, collapse=collapse,
+                              lanes=fault_timeout is None, jrnl=jrnl,
+                              tracer=tracer)
         campaign_ctx = tracer.span("campaign", hardening=hardening,
                                    seed=seed, faults=len(faults),
-                                   unique_faults=len(unique),
-                                   simulated=len(sim_faults),
-                                   jobs=jobs, cycles=len(stimulus))
+                                   unique_faults=len(plan.unique),
+                                   simulated=len(plan.sim_faults),
+                                   jobs=plan.jobs, cycles=len(stimulus))
         with campaign_ctx as campaign_span:
-            if pending and jobs > 1:
-                snap_cycles = tuple(sorted(
-                    {sim_faults[k].cycle for k in pending} | {0}
-                ))
-                session_factory = functools.partial(
-                    _CampaignSession, injector_factory, stimulus,
-                    snap_cycles, config,
-                )
-                pool = SupervisedPool(
-                    session_factory, jobs,
-                    task_timeout=fault_timeout,
-                    max_retries=max_retries,
-                    start_method=start_method,
-                    tracer=tracer,
-                )
-
-                # A task is one scalar fault or one lane batch (a tuple
-                # of faults classified in a single bit-parallel replay);
-                # task_map resolves each task back to its sim indices.
-                task_map: list[list[int]] = [list(batch)
-                                             for batch in batches]
-                tasks: list[Any] = [
-                    tuple(sim_faults[k] for k in batch)
-                    for batch in batches
-                ]
-                for k in scalar_pending:
-                    task_map.append([k])
-                    tasks.append(sim_faults[k])
-
-                def on_result(i: int, result: Any) -> None:
-                    records = (result if isinstance(result, list)
-                               else [result])
-                    for k, record in zip(task_map[i], records):
-                        sim_records[k] = record
-                        if jrnl is not None:
-                            jrnl.append_record(
-                                serialize_fault_record(record)
-                            )
-
-                with tracer.span("shards") as shard_span:
-                    try:
-                        outcome = pool.run(
-                            tasks,
-                            on_result=on_result, on_meta=check_meta,
-                        )
-                    except TaskPickleError as exc:
-                        raise CampaignError(
-                            "run_campaign(jobs>1) needs an injector_factory "
-                            "that pickles under the active start method: "
-                            f"{exc}"
-                        ) from exc
-                    except MetaMismatchError as exc:
-                        raise CampaignError(
-                            "parallel campaign shards disagree on the "
-                            "golden run; the injector factory is not "
-                            "deterministic across processes"
-                        ) from exc
-                    except PoolError as exc:
-                        raise CampaignError(str(exc)) from exc
-                if shard_span.dur:
-                    shard_span.annotate(
-                        faults_per_s=round(len(pending) / shard_span.dur, 2)
-                    )
-                meta = outcome.meta if outcome.meta is not None else meta
-                exec_stats.update(pool.stats)
-                exec_stats["simulated"] = len(pending)
-                exec_stats["journal_hits"] = journal_hits
-                for i, failure in outcome.failures.items():
-                    for k in task_map[i]:
-                        sim_failures[k] = failure
-            elif pending or meta is None:
-                # Sequential replay — also the path a full resume with a
-                # meta-less journal takes, just to rebuild the golden
-                # facts the report header needs.
-                if injector is None:
-                    injector = injector_factory()
-                snap_cycles = {sim_faults[k].cycle for k in pending} | {0}
-                with tracer.span("golden") as golden_span:
-                    golden = _golden_run(injector, stimulus, config,
-                                         snap_cycles)
-                golden_span.annotate(selfcheck=golden.selfcheck,
-                                     done=golden.done,
-                                     drain_cycles=golden.drain_cycles)
-                fresh_meta = _golden_meta(injector, golden)
-                check_meta(fresh_meta)
-                meta = fresh_meta
-                replayed: list[FaultRecord] = []
-                with tracer.span("replay") as replay_span:
-                    for batch in batches:
-                        batch_faults = [sim_faults[k] for k in batch]
-                        label = (f"lanes[{len(batch)}]"
-                                 f"@{min(f.cycle for f in batch_faults)}")
-                        with tracer.span(label) as batch_span:
-                            try:
-                                batch_records = _classify_batch(
-                                    injector, batch_faults, stimulus,
-                                    golden, config,
-                                )
-                            except Exception:
-                                injector.clear_faults()
-                                batch_records = [
-                                    _classify(injector, fault, stimulus,
-                                              golden, config)
-                                    for fault in batch_faults
-                                ]
-                            batch_span.annotate(
-                                faults=len(batch),
-                                outcomes=_outcome_tally(batch_records),
-                            )
-                        for k, record in zip(batch, batch_records):
-                            replayed.append(record)
-                            sim_records[k] = record
-                            if jrnl is not None:
-                                jrnl.append_record(
-                                    serialize_fault_record(record)
-                                )
-                    for k in scalar_pending:
-                        fault = sim_faults[k]
-                        label = (f"{fault.kind}:{fault.target}"
-                                 f"[{fault.bit}]@{fault.cycle}")
-                        record: FaultRecord | None = None
-                        detail = ""
-                        with tracer.span(label) as fault_span:
-                            for attempt in range(max_retries + 1):
-                                try:
-                                    with time_limit(fault_timeout,
-                                                    label=label):
-                                        record = _classify(
-                                            injector, fault, stimulus,
-                                            golden, config,
-                                        )
-                                    break
-                                except DeadlineExceeded as exc:
-                                    exec_stats["timeouts"] += 1
-                                    detail = str(exc)
-                                    if attempt < max_retries:
-                                        exec_stats["timeout_retries"] += 1
-                        if record is None:
-                            fault_span.annotate(outcome="timed_out")
-                            exec_stats["quarantined"] += 1
-                            sim_failures[k] = {"error": "timed_out",
-                                               "detail": detail}
-                        else:
-                            fault_span.annotate(outcome=record.outcome)
-                            replayed.append(record)
-                            sim_records[k] = record
-                            if jrnl is not None:
-                                jrnl.append_record(
-                                    serialize_fault_record(record)
-                                )
-                replay_span.annotate(
-                    faults=len(pending),
-                    outcomes=_outcome_tally(replayed),
-                )
-                if replay_span.dur:
-                    replay_span.annotate(
-                        faults_per_s=round(len(pending) / replay_span.dur, 2)
-                    )
-                stats = _sim_stats(injector)
-                if stats is not None:
-                    campaign_span.annotate(sim_stats=stats)
-            # else: full resume — every record and the golden metadata
-            # came from the journal; nothing to simulate.
-            if collapse:
-                # Expand representative records back over the full list:
-                # a synthesized masked record for pruned faults, the
-                # shared record object where the fault was its own
-                # representative, and a rewrap carrying the original
-                # fault otherwise.  Quarantined representatives stay
-                # ``None`` and surface in the errors section below.
-                unique_records: list[FaultRecord | None] = []
-                for fault, rep, masked in zip(unique, canonical,
-                                              masked_flags):
-                    if masked:
-                        unique_records.append(FaultRecord(fault, "masked"))
-                        continue
-                    record = sim_records[sim_index[rep]]
-                    if record is None or rep == fault:
-                        unique_records.append(record)
-                    else:
-                        unique_records.append(FaultRecord(
-                            fault, record.outcome,
-                            record.first_divergence, record.detail,
-                        ))
-                if jrnl is not None:
-                    # Journal the expanded records too — not just the
-                    # representatives — so a later resume of the same
-                    # campaign (collapsed or plain) finds every fault
-                    # under its own key.  append_record dedups by key,
-                    # so representatives are not re-written.
-                    for record in unique_records:
-                        if record is not None:
-                            jrnl.append_record(
-                                serialize_fault_record(record)
-                            )
-                campaign_span.annotate(
-                    collapse=collapse_stats,
-                    expanded_records=sum(
-                        1 for record in unique_records if record is not None
-                    ),
-                )
-            else:
-                unique_records = sim_records
+            meta, failures, exec_stats = _execute_campaign(
+                plan, stimulus, config, injector_factory=injector_factory,
+                fault_timeout=fault_timeout,
+                max_retries=max_retries,
+                start_method=start_method, jrnl=jrnl, tracer=tracer,
+                campaign_span=campaign_span,
+            )
+            records, errors = _assemble_campaign(plan, faults, failures,
+                                                 jrnl, campaign_span)
             campaign_span.annotate(design=design or meta["design"],
                                    flow=meta["flow"],
                                    resilience=dict(exec_stats))
-
-        records: list[FaultRecord] = []
-        errors: list[dict[str, Any]] = []
-        for fault in faults:
-            u = index_of[fault]
-            record = unique_records[u]
-            if record is None:
-                failure = sim_failures.get(
-                    sim_index[canonical[u]],
-                    {"error": "timed_out", "detail": ""},
-                )
-                errors.append({"fault": fault.as_dict(),
-                               "error": failure["error"],
-                               "detail": failure["detail"]})
-            else:
-                records.append(record)
     finally:
         if jrnl is not None:
             jrnl.close()
@@ -1246,8 +1188,8 @@ def run_campaign(
         golden_done=meta["done"],
         golden_drain_cycles=meta["drain_cycles"],
         records=records,
-        collapse=collapse_stats,
-        net_scores=net_scores,
+        collapse=plan.collapse,
+        net_scores=plan.net_scores,
         errors=errors,
         exec_stats=exec_stats,
     )

@@ -72,6 +72,19 @@ def _build_expocu_rtl(side: int):
     return synthesize(dut, observe_children=False)
 
 
+def injector_option_error(flow: str, hardening: str = "none",
+                          backend: str = "event") -> str | None:
+    """Why :func:`expocu_injector` rejects these options, or ``None``."""
+    if flow == "rtl" and backend != "event":
+        return (f"the {backend} evaluator backend operates on the netlist "
+                "flow (--flow netlist); RTL injection is always "
+                "event-driven")
+    if flow == "rtl" and hardening != "none":
+        return ("hardening operates on the netlist flow "
+                "(--flow netlist); the RTL flow is always unhardened")
+    return None
+
+
 def expocu_injector(flow: str, hardening: str = "none", side: int = 8,
                     backend: str = "event"):
     """Build the ExpoCU and wrap it in the flow's fault injector.
@@ -82,18 +95,11 @@ def expocu_injector(flow: str, hardening: str = "none", side: int = 8,
     the lane-packed evaluator that lets the campaign classify up to 64
     stuck-at faults per replay.
     """
-    if flow == "rtl" and backend != "event":
-        raise ValueError(
-            "the compiled evaluator backend operates on the netlist flow "
-            "(--flow netlist); RTL injection is always event-driven"
-        )
+    problem = injector_option_error(flow, hardening, backend)
+    if problem is not None:
+        raise ValueError(problem)
     rtl = _build_expocu_rtl(side)
     if flow == "rtl":
-        if hardening != "none":
-            raise ValueError(
-                "hardening operates on the netlist flow "
-                "(--flow netlist); the RTL flow is always unhardened"
-            )
         return RtlFaultInjector(RtlSimulator(rtl))
     if flow == "netlist":
         from repro.netlist.opt import optimize

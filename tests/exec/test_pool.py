@@ -91,6 +91,18 @@ class TestChaos:
         assert outcome.failures == {}
         assert _no_children()
 
+    def test_spent_respawn_budget_degrades_to_inline(self, monkeypatch,
+                                                    capsys):
+        monkeypatch.setenv(CHAOS_ENV, "1.0")  # every worker dies at once
+        pool = SupervisedPool(_SquareSession, jobs=2, max_respawns=0)
+        outcome = pool.run(list(range(6)))
+        assert outcome.results == {i: i * i for i in range(6)}
+        assert outcome.failures == {}
+        assert outcome.stats["fallback"] == 1
+        assert outcome.stats["inline_tasks"] == 6
+        assert "degraded" in capsys.readouterr().err
+        assert _no_children()
+
     def test_chaos_env_off_means_no_crashes(self, monkeypatch):
         monkeypatch.delenv(CHAOS_ENV, raising=False)
         pool = SupervisedPool(_SquareSession, jobs=2)

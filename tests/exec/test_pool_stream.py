@@ -148,6 +148,28 @@ class TestStreamCancel:
         assert not pool.cancel_stream(0)
 
 
+class TestStreamDegrade:
+    def test_spent_respawn_budget_fails_queued_tasks(self, monkeypatch):
+        from repro.exec.pool import CHAOS_ENV
+
+        monkeypatch.setenv(CHAOS_ENV, "1.0")  # every worker dies at once
+        pool = SupervisedPool(EchoSession, jobs=2, max_respawns=0)
+        sink = Collector()
+        assert pool.start_stream(on_result=sink.on_result,
+                                 on_failure=sink.on_failure)
+        try:
+            for idx in range(4):
+                pool.submit_stream(idx, ("echo", idx))
+            pump_until(pool, lambda: len(sink.failures) == 4)
+            assert not sink.results
+            assert {info["error"] for info in sink.failures.values()} \
+                == {"degraded"}
+            assert pool.stats["fallback"] == 1
+        finally:
+            pool.stop_stream()
+        assert pool._workers == {}
+
+
 class TestStreamSetup:
     def test_single_job_pool_refuses_stream(self):
         pool = SupervisedPool(EchoSession, jobs=1)

@@ -1,6 +1,9 @@
 """The ``repro inject`` command: formats, outputs, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -51,25 +54,72 @@ class TestFormats:
 
 
 class TestUsageErrors:
-    def test_rtl_flow_rejects_hardening(self, tmp_path, monkeypatch):
+    def test_rtl_flow_rejects_hardening(self, tmp_path, monkeypatch,
+                                        capsys):
         monkeypatch.chdir(tmp_path)
-        with pytest.raises(ValueError, match="netlist"):
-            main(["inject", "--flow", "rtl", "--hardening", "tmr",
-                  "--faults", "0"])
+        assert main(["inject", "--flow", "rtl", "--hardening", "tmr",
+                     "--faults", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: hardening operates on the "
+                              "netlist flow")
 
     def test_unknown_hardening_is_a_usage_error(self):
         with pytest.raises(SystemExit):
             main(["inject", "--hardening", "ecc"])
 
-    def test_rtl_flow_rejects_compiled_backend(self, tmp_path, monkeypatch):
+    def test_rtl_flow_rejects_compiled_backend(self, tmp_path, monkeypatch,
+                                               capsys):
         monkeypatch.chdir(tmp_path)
-        with pytest.raises(ValueError, match="netlist"):
-            main(["inject", "--flow", "rtl", "--backend", "compiled",
-                  "--faults", "0"])
+        assert main(["inject", "--flow", "rtl", "--backend", "compiled",
+                     "--faults", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: the compiled evaluator "
+                              "backend operates on the netlist flow")
 
     def test_unknown_backend_is_a_usage_error(self):
         with pytest.raises(SystemExit):
             main(["inject", "--backend", "turbo"])
+
+
+REPO_SRC = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.dirname(os.path.abspath(__file__)))), "src")
+
+#: (argv, exit code, text the one error line must contain)
+FLAG_TABLE = [
+    (["inject", "--flow", "rtl"], 0, None),
+    (["inject", "--flow", "rtl", "--backend", "compiled"], 2, "compiled"),
+    (["inject", "--flow", "rtl", "--backend", "bitparallel"], 2,
+     "bitparallel"),
+    (["inject", "--flow", "rtl", "--hardening", "tmr"], 2, "hardening"),
+    (["inject", "--flow", "netlist", "--backend", "bitparallel"], 0, None),
+    (["profile", "--target", "campaign"], 0, None),
+    (["profile", "--target", "campaign", "--backend", "compiled"], 2,
+     "compiled"),
+    (["profile", "--target", "campaign", "--backend", "bitparallel"], 2,
+     "bitparallel"),
+    (["profile", "--target", "synth", "--backend", "bitparallel"], 0, None),
+]
+
+
+class TestFlagCombinations:
+    """Every flag combination ends in a report or one error line."""
+
+    @pytest.mark.parametrize("argv,code,names", FLAG_TABLE,
+                             ids=[" ".join(row[0]) for row in FLAG_TABLE])
+    def test_exit_code_and_no_traceback(self, tmp_path, argv, code, names):
+        if argv[0] == "inject" or "campaign" in argv:
+            argv = argv + ["--faults", "0"]
+        env = dict(os.environ, PYTHONPATH=REPO_SRC)
+        proc = subprocess.run([sys.executable, "-m", "repro", *argv],
+                              cwd=tmp_path, env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode in (0, 2)
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+        if code == 2:
+            lines = proc.stderr.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("repro: error:")
+            assert names in lines[0]
 
 
 @pytest.mark.slow

@@ -94,3 +94,20 @@ class TestInjectProfile:
                    ("masked", "sdc", "detected", "hang")
                    for c in replay["children"])
         assert campaign["meta"]["sim_stats"]["backend"] == "rtl"
+
+    def test_netlist_bitparallel_profile_has_lane_batch_span(self, tmp_path,
+                                                            capsys):
+        trace_path = tmp_path / "inject.json"
+        assert main(["inject", "--flow", "netlist", "--backend",
+                     "bitparallel", "--faults", "8",
+                     "--profile", str(trace_path),
+                     "--output", str(tmp_path / "report.json")]) == 0
+        campaign = load(trace_path)["spans"][1]
+        replay = next(c for c in campaign["children"]
+                      if c["name"] == "replay")
+        lanes = [c for c in replay["children"]
+                 if c["name"].startswith("lanes[")]
+        assert lanes, [c["name"] for c in replay["children"]]
+        for batch in lanes:
+            outcomes = batch["meta"]["outcomes"]
+            assert sum(outcomes.values()) == batch["meta"]["faults"]

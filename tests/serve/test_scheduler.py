@@ -4,7 +4,8 @@ These tests run the scheduler in thread mode (``workers=1``) so the
 full submit -> run -> finish path executes in-process and the store
 counters can prove the dedup satellite: two identical submissions do
 the expensive stage work exactly once, and both callers receive
-byte-identical renderings.
+byte-identical renderings.  ``TestProcessMode`` covers ``workers=2``,
+where jobs run on the supervised pool's worker processes.
 """
 
 import time
@@ -241,5 +242,54 @@ class TestDrain:
         scheduler.start()
         try:
             assert scheduler.drain(grace_s=0.1) == 0
+        finally:
+            scheduler.stop()
+
+
+class TestProcessMode:
+    """``workers >= 2``: jobs run on the supervised pool's stream."""
+
+    def test_served_bytes_equal_direct_run_job(self, store):
+        from repro.serve.jobs import make_spec, run_job
+
+        scheduler = Scheduler(store, workers=2)
+        scheduler.start()
+        try:
+            assert scheduler.mode == "process"
+            submitted = [scheduler.submit(kind, params)[0]
+                         for kind, params in (("build", {"flow": "osss"}),
+                                              ("analyze", {}))]
+            served = [scheduler.wait_result(job.id, wait_s=180.0)
+                      for job in submitted]
+        finally:
+            scheduler.stop()
+        for job in served:
+            assert job.state == "done", job.error
+            direct = run_job(make_spec(job.spec.kind, job.spec.params),
+                             store=store)
+            assert (render_result(job.spec.kind, job.payload)
+                    == render_result(job.spec.kind, direct))
+
+    def test_degraded_pool_requeues_onto_threads(self, store, monkeypatch):
+        import functools
+
+        from repro.exec import CHAOS_ENV, SupervisedPool
+
+        monkeypatch.setenv(CHAOS_ENV, "1.0")  # every worker dies at once
+        monkeypatch.setattr(
+            "repro.serve.scheduler.SupervisedPool",
+            functools.partial(SupervisedPool, max_respawns=0,
+                              backoff_s=0.001),
+        )
+        scheduler = Scheduler(store, workers=2)
+        scheduler.start()
+        try:
+            assert scheduler.mode == "process"
+            job, _ = scheduler.submit("build", {"flow": "osss"})
+            done = scheduler.wait_result(job.id, wait_s=180.0)
+            assert done.state == "done", done.error
+            assert scheduler.mode == "thread-degraded"
+            assert any(event["kind"] == "requeued" for event in done.events)
+            assert scheduler.stats()["pool"]["fallback"] == 1
         finally:
             scheduler.stop()
