@@ -2,13 +2,15 @@
 
 Not a paper experiment: it quantifies the third scaling lever of the
 fault-campaign engine.  The ``bitparallel`` backend packs up to 64
-stuck-at faults into the bit-lanes of word-wide Python integers and
-classifies a whole batch per replay; on the bundled ExpoCU netlist it
-must beat the scalar compiled evaluator by at least 4x on campaign
-wall-clock for a stuck-at-only fault list (measured ~6x; the drain
-phase of hang-prone faults is what keeps it from the ~10x lane bound),
-while producing a byte-identical report — the oracle contract every
-backend is held to.
+gate faults of any kind into the bit-lanes of word-wide Python integers
+and classifies a whole batch per replay; on the bundled ExpoCU netlist
+it must beat the scalar compiled evaluator by at least 4x on campaign
+wall-clock, while producing a byte-identical report — the oracle
+contract every backend is held to.  Two fault lists are gated:
+
+- stuck-at only (measured ~6x; the drain phase of hang-prone faults is
+  what keeps it from the ~10x lane bound);
+- transient only, SEUs and one-cycle flips (measured ~10x).
 
 Injector construction (synthesis + technology mapping + codegen) happens
 outside the timers: the campaign replay loop is what scales with fault
@@ -40,17 +42,15 @@ def _campaign(injector, stimulus, faults):
     )
 
 
-def test_bitparallel_speedup_and_byte_identity():
+def _compare(kinds, report):
+    """Time one fault list of *kinds* on compiled and bitparallel."""
     stimulus = expocu_stimulus(SEED, frames=1, side=SIDE)
     compiled_injector = expocu_injector("netlist", backend="compiled",
                                         side=SIDE)
     wide_injector = expocu_injector("netlist", backend="bitparallel",
                                     side=SIDE)
-    # Stuck-at only: transient/seu faults fall back to scalar lanes, so
-    # a mixed list measures the fallback path, not the lane packing.
     faults = generate_fault_list(
-        compiled_injector, FAULTS, len(stimulus), SEED,
-        kinds=("sa0", "sa1"),
+        compiled_injector, FAULTS, len(stimulus), SEED, kinds=kinds,
     )
 
     start = time.perf_counter()
@@ -65,6 +65,8 @@ def test_bitparallel_speedup_and_byte_identity():
     assert wide_result.to_json() == compiled_result.to_json()
     assert compiled_result.golden_selfcheck == "masked"
     assert wide_result.exec_stats["lane_batches"] > 0
+    assert wide_result.exec_stats["lane_faults"] == \
+        wide_result.exec_stats["simulated"]
 
     speedup = t_compiled / t_wide
     assert speedup >= 4.0, (
@@ -79,4 +81,12 @@ def test_bitparallel_speedup_and_byte_identity():
          "campaign_s": f"{t_wide:.2f}",
          "speedup": f"{speedup:.2f}x"},
     ]
-    record_report("X_bitparallel", format_table(rows))
+    record_report(report, format_table(rows))
+
+
+def test_bitparallel_speedup_and_byte_identity():
+    _compare(("sa0", "sa1"), "X_bitparallel")
+
+
+def test_bitparallel_transient_speedup_and_byte_identity():
+    _compare(("seu", "flip"), "X_bitparallel_transient")

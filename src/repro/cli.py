@@ -42,7 +42,9 @@ without writing a script:
 ``synth``/``flows``/``inject`` also accept ``--profile <out.json>`` to
 write the same span report for their own run.
 
-Uncaught flow errors (:class:`~repro.synth.SynthesisError`,
+Usage errors (a bad flag or value, an unloadable ``--design``), file
+system errors on user-supplied paths (:class:`OSError`) and uncaught
+flow errors (:class:`~repro.synth.SynthesisError`,
 :class:`~repro.netlist.NetlistError`, :class:`~repro.store.StoreError`,
 :class:`~repro.fault.CampaignError`) print as one-line
 ``repro: error: ...`` diagnostics with exit code 2 instead of
@@ -58,6 +60,25 @@ import importlib
 import sys
 
 
+class UsageError(Exception):
+    """A command-line value the parser's types cannot rule out."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are one ``repro: error:`` line."""
+
+    def error(self, message: str):
+        self.exit(2, f"repro: error: {message} "
+                     f"(see '{self.prog} --help')\n")
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _default_design():
     from repro.serve.jobs import default_design
 
@@ -68,16 +89,16 @@ def _load_design(spec: str):
     """Build a design from a ``pkg.module:callable`` factory spec."""
     module_name, _, attr = spec.partition(":")
     if not attr:
-        raise SystemExit(
+        raise UsageError(
             f"--design must look like 'pkg.module:factory', got {spec!r}"
         )
     try:
         module = importlib.import_module(module_name)
     except ImportError as exc:
-        raise SystemExit(f"cannot import {module_name!r}: {exc}") from exc
+        raise UsageError(f"cannot import {module_name!r}: {exc}") from exc
     factory = getattr(module, attr, None)
     if factory is None:
-        raise SystemExit(f"{module_name!r} has no attribute {attr!r}")
+        raise UsageError(f"{module_name!r} has no attribute {attr!r}")
     return factory() if callable(factory) else factory
 
 
@@ -550,7 +571,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for tests)."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description="PyOSSS — OSSS methodology reproduction (DATE 2004)",
     )
@@ -745,7 +766,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     resolve = sub.add_parser("resolve",
                              help="Fig. 7 intermediate of SyncRegister")
-    resolve.add_argument("--regsize", type=int, default=4)
+    resolve.add_argument("--regsize", type=_positive_int, default=4)
     resolve.add_argument("--resetvalue", type=int, default=0)
     resolve.set_defaults(func=_cmd_resolve)
 
@@ -877,7 +898,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (SynthesisError, NetlistError, StoreError, CampaignError,
-            DseError, JobError) as exc:
+            DseError, JobError, UsageError, OSError) as exc:
         print(f"repro: error: {exc}", file=sys.stderr)
         return 2
 

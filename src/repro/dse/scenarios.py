@@ -44,6 +44,8 @@ def _expocu_factory(side: int):
 
 def expocu_space(size: str = "tiny", side: int = 4) -> DesignSpace:
     """The bundled ExpoCU design space (``"tiny"`` or ``"full"``)."""
+    if side < 1 or side & (side - 1):
+        raise DseError(f"side must be a power of two >= 1, got {side}")
     if size == "tiny":
         axes = [
             Axis("i2c_divider", [2, 4]),

@@ -33,6 +33,7 @@ from __future__ import annotations
 import functools
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
@@ -486,20 +487,21 @@ def _classify_batch(injector, faults: Sequence[Fault],
                     stimulus: Sequence[Mapping[str, int]],
                     golden: _GoldenRun,
                     config: CampaignConfig) -> list[FaultRecord]:
-    """Classify up to ``lane_capacity`` stuck-at faults in one replay.
+    """Classify up to ``lane_capacity`` gate faults in one replay.
 
     Bit-parallel (PPSFP) counterpart of :func:`_classify`: the replay
     restores the earliest checkpoint of the batch, widens the simulator
-    to one lane per fault, and activates each lane's stuck-at clamp at
-    that fault's own injection cycle — a lane before its cycle tracks
-    the golden run exactly (the golden self-check guarantees replay
-    determinism), so it accumulates no spurious divergence.  Divergence,
+    to one lane per fault, and arms each lane's fault (a stuck-at
+    clamp, a one-cycle glitch or a state flip) at that fault's own
+    injection cycle.  A lane before its cycle tracks the golden run
+    exactly (the golden self-check guarantees replay determinism), so
+    it accumulates no spurious divergence.  Divergence,
     detect-signal rises and done-signal quiescence are reduced to lane
     bitmasks per cycle, mirroring the scalar classifier's sampling
     points (outputs observed pre-commit; drain detection sampled on the
     cycle quiescence is reached) so each lane's record is byte-identical
     to its scalar classification.  Faults must be pre-validated with
-    ``injector.resolve_stuck`` — a lane fault can then never raise, so
+    ``injector.resolve`` — a lane fault can then never raise, so
     the scalar classifier's exception-means-detected path has no batch
     counterpart.
     """
@@ -599,10 +601,9 @@ def _lane_batches(injector, sim_faults: Sequence[Fault],
                                                    list[int]]:
     """Split *pending* fault indices into lane batches and a scalar rest.
 
-    Only permanent stuck-at faults pack into lanes; transients (seu,
-    flip) are one-shot events whose healing is inherently scalar, and
-    faults whose target does not resolve must go through the scalar
-    classifier to reproduce its exception-means-detected record.
+    Every fault kind packs into lanes; only faults whose target does not
+    resolve go through the scalar classifier, to reproduce its
+    exception-means-detected record.
     Batchable faults are sorted target-major (then bit, kind, cycle)
     before chunking at the injector's lane capacity: faults on the same
     or structurally nearby nets tend to classify alike, so in
@@ -613,16 +614,12 @@ def _lane_batches(injector, sim_faults: Sequence[Fault],
     batchable: list[int] = []
     rest: list[int] = []
     for k in pending:
-        fault = sim_faults[k]
-        if fault.kind in ("sa0", "sa1"):
-            try:
-                injector.resolve_stuck(fault)
-            except Exception:
-                rest.append(k)
-            else:
-                batchable.append(k)
-        else:
+        try:
+            injector.resolve(sim_faults[k])
+        except Exception:
             rest.append(k)
+        else:
+            batchable.append(k)
     batchable.sort(key=lambda k: (sim_faults[k].target, sim_faults[k].bit,
                                   sim_faults[k].kind, sim_faults[k].cycle))
     capacity = injector.lane_capacity
@@ -662,7 +659,7 @@ class _CampaignSession:
 
     Built once per worker process (injector + checkpointed golden run),
     then classifies one task per ``run`` call: a scalar fault, or a
-    tuple of stuck-at faults replayed as one lane batch.  ``meta`` is
+    tuple of gate faults replayed as one lane batch.  ``meta`` is
     the cross-worker consistency contract: every worker must reproduce
     the identical golden run or the campaign refuses to merge shards.
     Module-level so ``functools.partial`` over it pickles under every
@@ -702,7 +699,8 @@ class _CampaignSession:
                                          self.stimulus, self.golden,
                                          self.config)
                                for fault in task]
-            batch_span.annotate(faults=len(task),
+            kinds = dict(sorted(Counter(f.kind for f in task).items()))
+            batch_span.annotate(faults=len(task), kinds=kinds,
                                 outcomes=_outcome_tally(records))
             return records
         label = f"{task.kind}:{task.target}[{task.bit}]@{task.cycle}"
@@ -774,6 +772,7 @@ class _CampaignPlan:
     tasks: list[Any]               # a scalar fault or a lane-batch tuple
     task_map: list[list[int]]      # task -> the sim indices it classifies
     lane_batches: int
+    lane_faults: int               # faults packed into lane batches
     collapse: dict[str, int] | None
     net_scores: dict[str, float] | None
 
@@ -876,7 +875,7 @@ def _plan_campaign(injector, injector_factory, stimulus, faults, config, *,
     jobs = max(1, min(int(jobs), max(1, len(pending))))
 
     # Bit-parallel lane packing (PPSFP): after collapse has
-    # canonicalized the list, pack permanent stuck-at faults into
+    # canonicalized the list, pack every resolvable gate fault into
     # lanes so one replay classifies up to ``lane_capacity`` of them.
     # Per-fault wall-clock deadlines keep their scalar quarantine
     # semantics, so batching steps aside when *lanes* is off (a
@@ -901,7 +900,8 @@ def _plan_campaign(injector, injector_factory, stimulus, faults, config, *,
     return _CampaignPlan(
         unique, index_of, canonical, masked_flags, sim_faults, sim_index,
         sim_records, pending, journal_hits, injector, jobs, tasks,
-        task_map, len(batches), collapse_stats, net_scores,
+        task_map, len(batches), sum(len(batch) for batch in batches),
+        collapse_stats, net_scores,
     )
 
 
@@ -930,6 +930,7 @@ def _execute_campaign(plan: _CampaignPlan, stimulus, config, *,
         "timeout_retries": 0,
         "quarantined": 0,
         "lane_batches": plan.lane_batches,
+        "lane_faults": plan.lane_faults,
     }
     if not plan.pending and journal_meta is not None:
         return journal_meta, {}, exec_stats

@@ -130,9 +130,9 @@ class FaultableGateSimulator(GateSimulator):
     generated ``settle_forced`` variant and re-applies the clamps after
     the generated commit, and the bitparallel engine does the same with
     per-slot ``(keep, value)`` lane masks so each lane can hold its own
-    stuck-at fault (:meth:`force_net_lane`).  The fault-free hot path is
-    untouched because clamping only happens in this subclass, and only
-    while a force is active.  Forced slots are keyed by value-list slot
+    fault (:meth:`force_net_lane`, :meth:`flip_net_lane`).  The
+    fault-free hot path is untouched because clamping only happens in
+    this subclass, and only while a force is active.  Forced slots are keyed by value-list slot
     (see :class:`~repro.netlist.sim.GateSimulator`).
 
     Transient flips (:meth:`flip_net`) on combinational or input nets
@@ -166,6 +166,10 @@ class FaultableGateSimulator(GateSimulator):
         #: One-cycle transient clamps: slot -> glitch value, healed
         #: after the next committed step.
         self._transient: dict[int, int] = {}
+        #: Lane-parallel one-cycle transient clamps: slot -> (bits,
+        #: glitch) — the glitched lanes and their clamped values —
+        #: healed by the next :meth:`commit_lanes`.
+        self._glitch_masks: dict[int, tuple[int, int]] = {}
         #: Wide-settle specialization state: once the same force set has
         #: been lane-stepped SPEC_AFTER times in a row, the engine
         #: recompiles the settle with the clamps baked in as literals.
@@ -199,7 +203,8 @@ class FaultableGateSimulator(GateSimulator):
 
     # -- forcing -------------------------------------------------------
     def _any_fault(self) -> bool:
-        return bool(self._forced or self._force_masks or self._transient)
+        return bool(self._forced or self._force_masks or self._transient
+                    or self._glitch_masks)
 
     def _scalar_forces(self) -> dict[int, int]:
         """The slot clamps for the scalar generated ``settle_forced``."""
@@ -208,13 +213,20 @@ class FaultableGateSimulator(GateSimulator):
         return self._forced
 
     def _lane_forces(self) -> dict[int, tuple[int, int]]:
-        """The ``(keep, value)`` clamps for the wide ``settle_forced``."""
-        if self._transient:
-            forces = {net_slot: (0, glitch)
-                      for net_slot, glitch in self._transient.items()}
-            forces.update(self._force_masks)
-            return forces
-        return self._force_masks
+        """The ``(keep, value)`` clamps for the wide ``settle_forced``.
+
+        Lane glitches merge into the slot's stuck-at masks: each lane
+        carries one fault, so the two never clamp the same lane.
+        """
+        if not (self._transient or self._glitch_masks):
+            return self._force_masks
+        forces = {net_slot: (0, glitch)
+                  for net_slot, glitch in self._transient.items()}
+        forces.update(self._force_masks)
+        for net_slot, (bits, glitch) in self._glitch_masks.items():
+            keep, val = forces.get(net_slot, (self._lane_mask, 0))
+            forces[net_slot] = (keep & ~bits, val & ~bits | glitch)
+        return forces
 
     def force_net(self, net: Net, value: int) -> None:
         """Stuck-at: hold *net* at *value* until :meth:`release_all`."""
@@ -254,6 +266,33 @@ class FaultableGateSimulator(GateSimulator):
         self._values[net_slot] = self._values[net_slot] & ~bit | value_bit
         self._stale = True
 
+    def flip_net_lane(self, net: Net, lane: int) -> None:
+        """Transient upset in one lane of a lane-parallel run.
+
+        The lane counterpart of :meth:`flip_net`.  On a flop output (a
+        state SEU) the lane's bit is inverted in place and persists
+        until the next commit overwrites it.  On a combinational or
+        input net the lane's bit is clamped to the inverse of its
+        settled pre-step value — the value a scalar replay reads from
+        the checkpoint — through exactly the next :meth:`step_lanes`,
+        and :meth:`commit_lanes` heals it.
+        """
+        net_slot = self._slot_of(net)
+        if not 0 <= lane < self._lanes:
+            raise FaultInjectionError(
+                f"lane {lane} outside the {self._lanes} active lane(s)"
+            )
+        bit = 1 << lane
+        if net_slot in self._flop_q_set:
+            self._values[net_slot] ^= bit
+            self._stale = True
+            return
+        self._ensure_settled()
+        glitch = bit & ~self._values[net_slot]
+        bits, val = self._glitch_masks.get(net_slot, (0, 0))
+        self._glitch_masks[net_slot] = (bits | bit, val & ~bit | glitch)
+        self._forces_version += 1
+
     def flip_net(self, net: Net) -> None:
         """Transient upset: invert the current value of *net* once.
 
@@ -284,6 +323,7 @@ class FaultableGateSimulator(GateSimulator):
         self._forced.clear()
         self._force_masks.clear()
         self._transient.clear()
+        self._glitch_masks.clear()
         self._forces_version += 1
         # Recompute from scratch: forced values may have latched into
         # arbitrary downstream state, so settle every cell once.  Flop
@@ -344,22 +384,22 @@ class FaultableGateSimulator(GateSimulator):
     def drive(self, **buses: int) -> list[int]:
         dirty = super().drive(**buses)
         values = self._values
+        if self.backend == "bitparallel":
+            for net_slot, (keep, val) in self._lane_forces().items():
+                clamped = values[net_slot] & keep | val
+                if values[net_slot] != clamped:
+                    values[net_slot] = clamped
+                    dirty.append(net_slot)
+            return dirty
         if self._transient:  # forces win over glitches, so clamp first
             for net_slot, glitch in self._transient.items():
                 if values[net_slot] != glitch:
                     values[net_slot] = glitch
                     dirty.append(net_slot)
-        if self.backend == "bitparallel":
-            for net_slot, (keep, val) in self._force_masks.items():
-                clamped = values[net_slot] & keep | val
-                if values[net_slot] != clamped:
-                    values[net_slot] = clamped
-                    dirty.append(net_slot)
-        elif self._forced:
-            for net_slot, value in self._forced.items():
-                if values[net_slot] != value:
-                    values[net_slot] = value
-                    dirty.append(net_slot)
+        for net_slot, value in self._forced.items():
+            if values[net_slot] != value:
+                values[net_slot] = value
+                dirty.append(net_slot)
         return dirty
 
     def _step_event(self, buses) -> dict[str, int]:
@@ -415,6 +455,7 @@ class FaultableGateSimulator(GateSimulator):
         self._forced.clear()
         self._force_masks.clear()
         self._transient.clear()
+        self._glitch_masks.clear()
         self._forces_version += 1
         super().restore_state(snap)
 
@@ -459,7 +500,13 @@ class FaultableGateSimulator(GateSimulator):
         self._n_settles += 1
 
     def commit_lanes(self) -> None:
-        """Lane step, phase 2: flop commit plus post-commit clamps."""
+        """Lane step, phase 2: flop commit, post-commit clamps, healing.
+
+        Lane glitches expire here: a glitched input slot gets its
+        glitched lanes' driven bus bits back (the other lanes, stuck-at
+        clamps included, keep theirs); glitched cell outputs need
+        nothing, the next settle recomputes them.
+        """
         if self._lanes == 1:
             raise NetlistError("commit_lanes() needs begin_lanes() first")
         values = self._values
@@ -467,6 +514,15 @@ class FaultableGateSimulator(GateSimulator):
         self._n_fast_commits += 1
         for net_slot, (keep, val) in self._force_masks.items():
             values[net_slot] = values[net_slot] & keep | val
+        if self._glitch_masks:
+            for net_slot, (bits, _) in self._glitch_masks.items():
+                in_bit = self._in_bit.get(net_slot)
+                if in_bit is not None:
+                    name, k = in_bit
+                    driven = bits if (self._inputs[name] >> k) & 1 else 0
+                    values[net_slot] = values[net_slot] & ~bits | driven
+            self._glitch_masks.clear()
+            self._forces_version += 1
         self._stale = True
         self.cycle += 1
         self._n_steps += 1
@@ -630,27 +686,39 @@ class GateFaultInjector:
         self._collapse_map = mapping
         return mapping
 
-    def inject(self, fault) -> None:
+    def resolve(self, fault) -> Net:
+        """The net *fault* targets, for :meth:`inject` and :meth:`force_lane`.
+
+        SEUs address state (flop output) nets only; stuck-at and flip
+        faults look up combinational names first, then state names.
+        Raises on unknown targets or kinds and on constant nets, so the
+        campaign scheduler can divert faults that cannot pack into
+        lanes to the scalar path up front.
+        """
         if fault.kind == "seu":
             net = self._state_nets.get(fault.target)
             if net is None:
                 raise FaultInjectionError(
                     f"no state (flop output) net named {fault.target!r}"
                 )
-            self.sim.flip_net(net)
-            return
-        net = self._comb_nets.get(fault.target) \
-            or self._state_nets.get(fault.target)
-        if net is None:
-            raise FaultInjectionError(f"no net named {fault.target!r}")
-        if fault.kind == "sa0":
-            self.sim.force_net(net, 0)
-        elif fault.kind == "sa1":
-            self.sim.force_net(net, 1)
-        elif fault.kind == "flip":
-            self.sim.flip_net(net)
         else:
-            raise FaultInjectionError(f"unknown fault kind {fault.kind!r}")
+            net = self._comb_nets.get(fault.target) \
+                or self._state_nets.get(fault.target)
+            if net is None:
+                raise FaultInjectionError(f"no net named {fault.target!r}")
+            if fault.kind not in ("sa0", "sa1", "flip"):
+                raise FaultInjectionError(
+                    f"unknown fault kind {fault.kind!r}"
+                )
+        self.sim._slot_of(net)  # rejects constant nets
+        return net
+
+    def inject(self, fault) -> None:
+        net = self.resolve(fault)
+        if fault.kind in ("sa0", "sa1"):
+            self.sim.force_net(net, 1 if fault.kind == "sa1" else 0)
+        else:
+            self.sim.flip_net(net)
 
     def clear_faults(self) -> None:
         self.sim.release_all()
@@ -658,28 +726,10 @@ class GateFaultInjector:
     # -- lane-parallel (PPSFP) surface --------------------------------
     @property
     def lane_capacity(self) -> int:
-        """Stuck-at faults one lane-parallel pass can carry (0 = none)."""
+        """Gate faults one lane-parallel pass can carry (0 = none)."""
         if self.sim.backend == "bitparallel":
             return self.sim.LANE_CAPACITY
         return 0
-
-    def resolve_stuck(self, fault) -> Net:
-        """The net a stuck-at *fault* clamps, validated like inject().
-
-        Raises exactly where :meth:`inject` would — unknown targets,
-        constant nets — so the campaign scheduler can divert unpackable
-        faults to the scalar path up front.
-        """
-        if fault.kind not in ("sa0", "sa1"):
-            raise FaultInjectionError(
-                f"only stuck-at faults pack into lanes, got {fault.kind!r}"
-            )
-        net = self._comb_nets.get(fault.target) \
-            or self._state_nets.get(fault.target)
-        if net is None:
-            raise FaultInjectionError(f"no net named {fault.target!r}")
-        self.sim._slot_of(net)  # rejects constant nets
-        return net
 
     def begin_lanes(self, n: int) -> None:
         self.sim.begin_lanes(n)
@@ -688,9 +738,13 @@ class GateFaultInjector:
         self.sim.end_lanes()
 
     def force_lane(self, fault, lane: int) -> None:
-        """Apply one stuck-at fault to one lane."""
-        net = self.resolve_stuck(fault)
-        self.sim.force_net_lane(net, 1 if fault.kind == "sa1" else 0, lane)
+        """Apply one gate fault of any kind to one lane."""
+        net = self.resolve(fault)
+        if fault.kind in ("sa0", "sa1"):
+            self.sim.force_net_lane(net, 1 if fault.kind == "sa1" else 0,
+                                    lane)
+        else:
+            self.sim.flip_net_lane(net, lane)
 
     def step_lanes(self, entry: Mapping[str, int]) -> None:
         self.sim.step_lanes(entry)

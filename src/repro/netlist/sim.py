@@ -24,7 +24,7 @@ evaluation backends:
     exactly to the scalar compiled semantics (the all-lanes mask ``M``
     is 1), so the backend doubles as a drop-in compiled engine; the
     fault campaign (:mod:`repro.fault.campaign`) widens it to pack up
-    to 64 stuck-at faults per settle.
+    to 64 gate faults (stuck-ats, flips and SEUs) per settle.
 
 All backends share one state representation (a dense ``list`` indexed
 by per-circuit net *slots*) and are asserted equivalent by a randomized
@@ -129,7 +129,8 @@ class _CompiledEngine:
 
     ``settle(v)``            full combinational settle, straight-line;
     ``settle_forced(v, f)``  same, clamping slots present in *f* (the
-                             fault subsystem's stuck-at forcing);
+                             fault subsystem's stuck-at and glitch
+                             forcing);
     ``commit(v)``            simultaneous flop commit (one tuple
                              assignment: every D is read before any Q
                              is written);

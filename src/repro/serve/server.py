@@ -297,8 +297,13 @@ def run_server(socket_path: str | None = None, host: str = "127.0.0.1",
     store = ArtifactStore(cache_dir) if cache_dir else None
     scheduler = Scheduler(store, workers=workers, job_timeout=job_timeout)
     scheduler.start()
-    server = build_server(scheduler, socket_path=socket_path, host=host,
-                          port=port, grace_s=grace_s, verbose=verbose)
+    try:
+        server = build_server(scheduler, socket_path=socket_path,
+                              host=host, port=port, grace_s=grace_s,
+                              verbose=verbose)
+    except BaseException:
+        scheduler.stop()
+        raise
 
     def on_signal(signum, frame) -> None:
         server.request_shutdown()

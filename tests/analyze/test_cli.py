@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from repro.cli import main
 
 BAD = "tests.analyze.designs:build"
@@ -32,9 +30,11 @@ class TestExitCodes:
         assert main(["lint", "--design", BAD, "--no-design-lints"]) == 1
         assert "RTL401" not in capsys.readouterr().out
 
-    def test_bad_design_spec_is_a_usage_error(self):
-        with pytest.raises(SystemExit):
-            main(["lint", "--design", "no-colon-here"])
+    def test_bad_design_spec_is_a_usage_error(self, capsys):
+        assert main(["lint", "--design", "no-colon-here"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("repro: error: --design must look like")
 
 
 class TestFormats:

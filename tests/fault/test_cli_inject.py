@@ -98,6 +98,21 @@ FLAG_TABLE = [
     (["profile", "--target", "campaign", "--backend", "bitparallel"], 2,
      "bitparallel"),
     (["profile", "--target", "synth", "--backend", "bitparallel"], 0, None),
+    # One bad flag per remaining subcommand: parser-level rejections,
+    # values only the command can reject, and unusable paths ("a-file"
+    # is a regular file, "missing/" a directory that does not exist).
+    (["demo", "--frames", "many"], 2, "--frames"),
+    (["synth", "--verilog", "missing/x.v"], 2, "missing/x.v"),
+    (["flows", "--strict=yes"], 2, "--strict"),
+    (["lint", "--design", "no_such_module:build"], 2, "no_such_module"),
+    (["analyze", "--design", "no-colon-here"], 2, "--design"),
+    (["dse", "--side", "3"], 2, "power of two"),
+    (["resolve", "--regsize", "0"], 2, "--regsize"),
+    (["effort", "--bogus"], 2, "--bogus"),
+    (["build", "--cache-dir", "a-file"], 2, "Not a directory"),
+    (["cache", "--cache-dir", "a-file", "stats"], 2, "Not a directory"),
+    (["serve", "--socket", "missing/r.sock"], 2, "No such file"),
+    (["submit", "build"], 2, "--socket"),
 ]
 
 
@@ -109,11 +124,12 @@ class TestFlagCombinations:
     def test_exit_code_and_no_traceback(self, tmp_path, argv, code, names):
         if argv[0] == "inject" or "campaign" in argv:
             argv = argv + ["--faults", "0"]
+        (tmp_path / "a-file").write_text("")
         env = dict(os.environ, PYTHONPATH=REPO_SRC)
         proc = subprocess.run([sys.executable, "-m", "repro", *argv],
                               cwd=tmp_path, env=env, capture_output=True,
                               text=True, timeout=300)
-        assert proc.returncode in (0, 2)
+        assert proc.returncode in (0, 2, 3)
         assert proc.returncode == code, proc.stderr
         assert "Traceback" not in proc.stderr
         if code == 2:

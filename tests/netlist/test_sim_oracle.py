@@ -284,6 +284,47 @@ class TestLanePacking:
             for lane, sim in enumerate(scalars):
                 assert lane_outs[lane] == sim.step(**entry)
 
+    @pytest.mark.parametrize("seed", (1, 5, 9))
+    def test_staggered_flips_match_scalar(self, seed):
+        """Flips and stuck-ats armed per lane on their own cycles.
+
+        A comb or input flip is a one-cycle glitch and a flop-q flip a
+        state upset; either way each lane must track its scalar twin.
+        """
+        rng = random.Random(seed + 31)
+        circuit = random_circuit(seed)
+        forceable = _forceable_nets(circuit)
+        n_lanes = 12
+        picks = [(rng.choice(forceable), rng.choice(("flip", 0, 1)),
+                  rng.randrange(5, 12)) for _ in range(n_lanes)]
+        stim = _stimulus(seed, 4, cycles=16)
+
+        wide = FaultableGateSimulator(circuit, backend="bitparallel")
+        scalars = [FaultableGateSimulator(circuit, backend="compiled")
+                   for _ in picks]
+        for entry in stim[:5]:
+            wide.step(**entry)
+            for sim in scalars:
+                sim.step(**entry)
+        wide.begin_lanes(n_lanes)
+        for cycle, entry in enumerate(stim[5:], start=5):
+            for lane, (net, action, at) in enumerate(picks):
+                if at != cycle:
+                    continue
+                if action == "flip":
+                    wide.flip_net_lane(net, lane)
+                    scalars[lane].flip_net(net)
+                else:
+                    wide.force_net_lane(net, action, lane)
+                    scalars[lane].force_net(net, action)
+            wide.step_lanes(entry)
+            lane_outs = [wide.peek_lane_outputs(lane)
+                         for lane in range(n_lanes)]
+            wide.commit_lanes()
+            for lane, sim in enumerate(scalars):
+                assert lane_outs[lane] == sim.step(**entry), \
+                    f"lane {lane} diverged from its scalar twin"
+
     def test_end_lanes_keeps_lane_zero(self):
         seed = 2
         circuit = random_circuit(seed)

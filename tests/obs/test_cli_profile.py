@@ -111,3 +111,11 @@ class TestInjectProfile:
         for batch in lanes:
             outcomes = batch["meta"]["outcomes"]
             assert sum(outcomes.values()) == batch["meta"]["faults"]
+            kinds = batch["meta"]["kinds"]
+            assert sum(kinds.values()) == batch["meta"]["faults"]
+        # Every kind packs into lanes: nothing replays on the scalar path.
+        resilience = campaign["meta"]["resilience"]
+        assert resilience["lane_faults"] == resilience["simulated"]
+        report = json.loads((tmp_path / "report.json").read_text())
+        packed = {kind for batch in lanes for kind in batch["meta"]["kinds"]}
+        assert packed == {fault["kind"] for fault in report["faults"]}
